@@ -6,6 +6,14 @@ Canonical windows come from a fixed per-system ladder: depth windows
 window expressing it; that window is an intrinsic property of the set, so
 equal sets have identical canonical forms and canonicalization is idempotent.
 
+Subshift words move between ladder windows through one fiber table per
+(system, width, slice): each admissible inner word maps to its admissible
+extensions on the wider window. Expansion replaces each word by its fiber.
+For both kinds, a set shrinks one rung iff the fiber sizes of its sliced
+words add up to its word count; distinct admissible words never overfill a
+fiber, so equality means every fiber is whole. Odometer fibers are the p
+digits of the dropped coordinate and need no table.
+
 Translation is exact: T^n of a depth-d odometer cylinder is the depth-d
 cylinder of (value + n) mod block_size, because digit addition acts bijectively
 on the tail. For subshifts T^n shifts the window by -n.
@@ -51,45 +59,43 @@ def _expand_words(spec: SystemSpec, words: frozenset, win: tuple[int, int], size
         tails = itertools.product(*(range(spec.base_at(i)) for i in range(hi + 1, HI + 1)))
         tails = list(tails)
         return frozenset(w + t for w in words for t in tails)
-    width = HI - LO + 1
-    a, b = lo - LO, hi - LO + 1
+    fibers = _fibers(spec, HI - LO + 1, lo - LO, hi - LO + 1)
+    return frozenset(big for w in words for big in fibers[w])
+
+
+def _fibers(spec: SystemSpec, width: int, a: int, b: int) -> dict:
+    """Each admissible (b-a)-word -> its admissible width-words w with w[a:b] == it.
+
+    Built once per key. The keys are the tuples held by language(spec, b - a),
+    not fresh slices, so the table keeps no word copies of its own.
+    """
     key = (spec, width, a, b)
-    index = _EXT_CACHE.get(key)
-    if index is None:
-        index = {}
+    fibers = _EXT_CACHE.get(key)
+    if fibers is None:
+        fibers = {u: [] for u in language(spec, b - a)}
         for big in language(spec, width):
-            index.setdefault(big[a:b], []).append(big)
-        _EXT_CACHE[key] = index
-    out = []
-    for w in words:
-        out.extend(index.get(w, ()))
-    return frozenset(out)
+            fibers[big[a:b]].append(big)
+        _EXT_CACHE[key] = fibers
+    return fibers
 
 
 def _shrink(spec: SystemSpec, words: frozenset, size: int) -> tuple[frozenset, int]:
     """Walk down the ladder while the word set stays expressible."""
     floor = 1 if spec.kind == "odometer" else 0
     while size > floor:
-        smaller = size - 1
         lo, hi = _ladder_window(spec, size)
-        slo, shi = _ladder_window(spec, smaller)
+        slo, shi = _ladder_window(spec, size - 1)
         a, b = slo - lo, shi - lo + 1
-        groups: dict[Word, int] = {}
-        for w in words:
-            groups[w[a:b]] = groups.get(w[a:b], 0) + 1
+        smaller = frozenset(w[a:b] for w in words)
         if spec.kind == "odometer":
-            p = spec.base_at(hi)
-            ok = all(cnt == p for cnt in groups.values())
+            covered = spec.base_at(hi) * len(smaller)
         else:
-            width = hi - lo + 1
-            full = {}
-            for big in language(spec, width):
-                full[big[a:b]] = full.get(big[a:b], 0) + 1
-            ok = all(groups[u] == full[u] for u in groups)
-        if not ok:
+            fibers = _fibers(spec, hi - lo + 1, a, b)
+            covered = sum(len(fibers[u]) for u in smaller)
+        if covered != len(words):
             break
-        words = frozenset(groups)
-        size = smaller
+        words = smaller
+        size -= 1
     return words, size
 
 

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .canon import PermutationForm, Refusal, factorize, is_n_permutation, order_exceeds
+from .canon import _LEVEL_CAP, PermutationForm, Refusal, factorize, is_n_permutation, order_exceeds
 from .clopen import cylinder
 from .errors import PreconditionError, VerificationError
 from .group import (
@@ -33,8 +33,6 @@ from .group import (
 )
 from .systems import SystemSpec, base_point
 from .towers import KRPartition, induced, kr_from_set, tower_sequence
-
-_LEVEL_CAP = 24
 
 HElement = tuple  # one one-line permutation per tower
 
@@ -93,9 +91,6 @@ class FinitePermGroupDesc:
 
     def to_form(self, a: HElement) -> PermutationForm:
         return PermutationForm(self.xi, a)
-
-    def from_form(self, form: PermutationForm) -> HElement:
-        return form.perms
 
 
 def perm_group(xi: KRPartition) -> FinitePermGroupDesc:

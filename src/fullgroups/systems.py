@@ -79,13 +79,6 @@ class OdometerSpec:
     def render_word(self, w: Word) -> str:
         return "".join(str(d) for d in w)
 
-    def parse_word(self, s: str) -> Word:
-        try:
-            w = tuple(int(c) for c in s)
-        except ValueError:
-            raise SystemConfigError(f"bad digit word {s!r}")
-        return w
-
     def word_admissible(self, w: Word, offset: int = 0) -> bool:
         return all(isinstance(d, int) and 0 <= d < self.base_at(offset + i) for i, d in enumerate(w))
 
@@ -129,9 +122,6 @@ class SubstitutionSpec:
 
     def render_word(self, w: Word) -> str:
         return "".join(w)
-
-    def parse_word(self, s: str) -> Word:
-        return tuple(s)
 
     def words(self, length: int):
         return sorted(language(self, length))

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fullgroups import clopen
 from fullgroups.clopen import (
     ClopenSet,
+    _fibers,
+    _ladder_window,
     check_partition,
     cylinder,
     empty,
@@ -15,6 +20,8 @@ from fullgroups.systems import base_point, language, make_system
 
 O2 = make_system({"kind": "odometer", "bases": [2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
+TM = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})
+O23 = make_system({"kind": "odometer", "bases": [2, 3]})
 
 
 def rand_clopen(spec, rng):
@@ -167,3 +174,55 @@ def test_union_all():
     words = sorted(language(FIB, 3))
     total = union_all(FIB, [cylinder(FIB, w, 0) for w in words])
     assert total == full(FIB)
+
+
+def _reference_canonical(spec, words, size):
+    """Canonical form with the projection-count table rebuilt from the language on each rung."""
+    floor = 1 if spec.kind == "odometer" else 0
+    while size > floor:
+        lo, hi = _ladder_window(spec, size)
+        slo, shi = _ladder_window(spec, size - 1)
+        a, b = slo - lo, shi - lo + 1
+        groups = Counter(w[a:b] for w in words)
+        full_counts = Counter(big[a:b] for big in language(spec, hi - lo + 1))
+        if any(groups[u] != full_counts[u] for u in groups):
+            break
+        words = frozenset(groups)
+        size -= 1
+    lo, hi = _ladder_window(spec, size)
+    return lo, hi, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["fib", "tm", "o23"]), st.data())
+def test_canonical_matches_count_table_reference(which, data):
+    spec = {"fib": FIB, "tm": TM, "o23": O23}[which]
+    floor = 1 if spec.kind == "odometer" else 0
+    size = data.draw(st.integers(floor, floor + 4), label="size")
+    coarse = data.draw(st.integers(floor, size), label="coarse")
+    lo, hi = _ladder_window(spec, size)
+    clo, chi = _ladder_window(spec, coarse)
+    a, b = clo - lo, chi - lo + 1
+    # a union of whole fibers of a coarser window, then a few words toggled,
+    # so that both shrinking and stopping on a rung are exercised
+    admissible = sorted(language(spec, hi - lo + 1))
+    picked = data.draw(st.sets(st.sampled_from(sorted(language(spec, b - a)))), label="coarse words")
+    words = {w for w in admissible if w[a:b] in picked}
+    words ^= data.draw(st.sets(st.sampled_from(admissible), max_size=2), label="toggled")
+    words = frozenset(words)
+    expected = _reference_canonical(spec, words, size)
+    clopen._EXT_CACHE.clear()
+    cold = ClopenSet._canonical(spec, words, (lo, hi))
+    warm = ClopenSet._canonical(spec, words, (lo, hi))
+    assert (cold.lo, cold.hi, cold.words) == expected
+    assert (warm.lo, warm.hi, warm.words) == expected
+
+
+def test_fiber_keys_are_interned_language_words():
+    for spec in (FIB, TM):
+        for width, a, b in ((7, 1, 6), (5, 0, 2), (9, 4, 5)):
+            fibers = _fibers(spec, width, a, b)
+            interned = {id(u) for u in language(spec, b - a)}
+            assert fibers and all(id(u) in interned for u in fibers)
+            assert all(w[a:b] == u for u, ws in fibers.items() for w in ws)
+            assert sum(len(ws) for ws in fibers.values()) == len(language(spec, width))
