@@ -189,10 +189,9 @@ def criterion_towers(seed: int):
             for i in range(-m - 1, m + 1):
                 assert xi.base().translate(i).fits_in_radius(rad)
             assert xi.base().contains_point(x)
-            width = n if spec.kind == "odometer" else 2 * n + 1
-            off = 0 if spec.kind == "odometer" else -n
-            for w in language(spec, width):
-                assert xi.refines_set(cylinder(spec, w, off))
+            lo, hi = spec.ladder_window(n)
+            for w in language(spec, hi - lo + 1):
+                assert xi.refines_set(cylinder(spec, w, lo))
             if prev is not None:
                 assert xi.base().subset(prev.base())
                 for _, _, atom in xi.iter_atoms():

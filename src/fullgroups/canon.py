@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clopen import ClopenSet, cylinder, union_all
+from .clopen import ClopenSet, central_cylinder, union_all
 from .errors import PreconditionError, VerificationError
 from .group import (
     GroupElement,
     _build,
+    agree_on,
     cocycle_at,
     cocycle_bound,
     cocycle_values_on,
@@ -27,7 +28,6 @@ from .group import (
     equals,
     identity,
     invert,
-    is_identity,
     make_element,
     shift,
     support,
@@ -191,7 +191,7 @@ def is_n_rotation(s: GroupElement, xi: KRPartition, r_max: int | None = None):
                 continue
             gen = make(xi, i)
             for e in range(-r_max, r_max + 1):
-                if e != 0 and _agree_on_set(s, _power(gen, e), band):
+                if e != 0 and agree_on(s, _power(gen, e), band):
                     levels.append((i, e))
                     break
             else:
@@ -200,10 +200,6 @@ def is_n_rotation(s: GroupElement, xi: KRPartition, r_max: int | None = None):
     if not equals(form.to_element(), s):
         return Refusal("support extends past the boundary bands")
     return form
-
-
-def _agree_on_set(s1: GroupElement, s2: GroupElement, a: ClopenSet) -> bool:
-    return support(compose(invert(s2), s1)).disjoint(a)
 
 
 def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
@@ -388,22 +384,6 @@ def in_stabilizer(q_elem: GroupElement, x: PointRep | None = None) -> bool:
     return orbit_counts(q_elem, x) == (0, 0)
 
 
-def _central_cyl(spec: SystemSpec, x: PointRep, depth: int) -> ClopenSet:
-    if spec.kind == "odometer":
-        return cylinder(spec, x.window(0, depth - 1))
-    return cylinder(spec, x.window(-depth, depth), -depth)
-
-
-def _distinct_orbits(spec, x, y) -> bool:
-    # certified when one anchor provably lies in the primary orbit
-    # (eventually constant digits) and the other provably does not
-    if spec.kind != "odometer":
-        return False
-    x_in = x.eventually_zero() or x.eventually_top()
-    y_in = y.eventually_zero() or y.eventually_top()
-    return (x_in and y.orbit_certificate()) or (y_in and x.orbit_certificate())
-
-
 def kernel_decompose(
     q_elem: GroupElement,
     x: PointRep | None = None,
@@ -423,8 +403,7 @@ def kernel_decompose(
         x, _ = base_point(spec, "primary")
     if y is None:
         y, _ = base_point(spec, "alternate")
-    certified = _distinct_orbits(spec, x, y)
-    if not certified and not assume_distinct:
+    if not x.certified_apart(y) and not assume_distinct:
         raise PreconditionError(
             "cannot certify the two anchor orbits are distinct; pass assume_distinct"
         )
@@ -461,7 +440,7 @@ def _find_swap_site(spec, x, y, q: int, p_floor: int, depth_budget: int):
     """Smallest central cylinder C at x and shift p making all swap blocks
     pairwise disjoint and keeping y clear of them."""
     for depth in range(1, depth_budget + 1):
-        c = _central_cyl(spec, x, depth)
+        c = central_cylinder(spec, x, depth)
         for p in range(max(p_floor, 1), 4 * q + 1):
             yset = c.union(c.translate(p))
             if c.word_count() + c.translate(p).word_count() != yset.word_count():
@@ -487,7 +466,7 @@ def separation_parts(
         raise PreconditionError("the point must lie inside the witness region")
     rf = first_return(spec, o)
     for depth in range(1, _DEPTH_CAP + 1):
-        u = _central_cyl(spec, x, depth).intersect(o)
+        u = central_cylinder(spec, x, depth).intersect(o)
         if not u.contains_point(x):
             continue
         k = _cell_time(rf, u)

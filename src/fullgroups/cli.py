@@ -33,7 +33,6 @@ from .formats import (
     render_lef_witness,
     render_system_config,
     render_towers,
-    render_word,
 )
 from .group import (
     GroupElement,
@@ -46,7 +45,7 @@ from .group import (
     support,
 )
 from .lef import LEFWitness, lef_map, odometer_structure, perm_group, verify_lef
-from .systems import SystemSpec, base_point, make_system
+from .systems import SystemSpec, base_point
 from .towers import kr_from_set, tower_sequence
 
 WORKSPACE_VAR = "FULLGROUPS_WORKSPACE"
@@ -185,7 +184,7 @@ def cmd_element(ws: Workspace, args) -> int:
     k = cocycle_at(s, x)
     lo, hi = (0, 7) if spec.kind == "odometer" else (-4, 7)
     print(f"power {k}")
-    print(f"image[{lo}..{hi}] {render_word(spec, x.shifted(k).window(lo, hi))}")
+    print(f"image[{lo}..{hi}] {spec.render_word(x.shifted(k).window(lo, hi))}")
     return 0
 
 
@@ -262,57 +261,37 @@ def cmd_witness(ws: Workspace, args) -> int:
     return 0
 
 
-def _verify_witness_text(ws: Workspace, text: str) -> tuple[bool, list[str]]:
-    level, entries = parse_lef_witness(text)
+def _load_hashed(ws: Workspace, label: str) -> tuple[str, GroupElement]:
+    sys_name, s = ws.load_element(label)
+    if element_hash(s) != label:
+        raise VerificationError(f"stored element {label} hash mismatch")
+    return sys_name, s
+
+
+def _load_witness(ws: Workspace, text: str) -> LEFWitness:
+    """The witness file as an LEFWitness over the workspace's elements."""
+    level, f_labels, entries = parse_lef_witness(text)
     if not entries:
         raise ParseError("the witness table is empty")
-    loaded = []
-    for hash_label, helem in entries:
-        sys_name, s = ws.load_element(hash_label)
-        if element_hash(s) != hash_label:
-            raise VerificationError(f"stored element {hash_label} hash mismatch")
-        loaded.append((s, helem))
-    spec = ws.load_system(sys_name)
-    desc = perm_group(tower_sequence(spec).level(level))
-    lines = []
-    ok = True
-    if tuple(desc.heights) != tuple(len(p) for p in loaded[0][1]):
-        return False, ["tower heights do not match the witness level"]
-    for i, (s, hs) in enumerate(loaded):
-        for t, ht in loaded[i + 1:]:
-            good = hs != ht
-            ok = ok and good
-            lines.append(
-                f"distinct {element_hash(s)} {element_hash(t)}: "
-                f"{'ok' if good else 'FAIL'}"
-            )
-    covered = 0
-    for s, hs in loaded:
-        for t, ht in loaded:
-            st = compose(s, t)
-            match = next((h for u, h in loaded if equals(u, st)), None)
-            if match is None:
-                continue
-            covered += 1
-            good = desc.compose(hs, ht) == match
-            ok = ok and good
-            lines.append(
-                f"product {element_hash(s)}*{element_hash(t)}: "
-                f"{'ok' if good else 'FAIL'}"
-            )
-    lines.append(f"checked {covered} products inside the table")
-    return ok, lines
+    table = []
+    for label, helem in entries:
+        sys_name, s = _load_hashed(ws, label)
+        table.append((s, helem))
+    elements = tuple(_load_hashed(ws, label)[1] for label in f_labels)
+    desc = perm_group(tower_sequence(ws.load_system(sys_name)).level(level))
+    # the file claims both properties; verify_lef re-checks them
+    return LEFWitness(elements, tuple(s for s, _ in table), level, desc, tuple(table), True, True)
 
 
 def cmd_lef(ws: Workspace, args) -> int:
     if args.rest and args.rest[0] == "verify":
         if len(args.rest) != 2:
             raise PreconditionError("usage: lef verify <witness>")
-        ok, lines = _verify_witness_text(ws, ws.load_witness_text(args.rest[1]))
-        for line in lines:
+        report = verify_lef(_load_witness(ws, ws.load_witness_text(args.rest[1])))
+        for line in report.lines:
             print(line)
-        print("pass" if ok else "fail")
-        return 0 if ok else 3
+        print("pass" if report.ok else "fail")
+        return 0 if report.ok else 3
     if not args.set:
         raise PreconditionError("usage: lef --set <file> | lef verify <witness>")
     names = [

@@ -1,98 +1,47 @@
 """Exact clopen subsets of a system, canonicalized as word sets over a window.
 
-Canonical windows come from a fixed per-system ladder: depth windows
-[0, d-1] for odometers (d >= 1) and symmetric windows [-r, r] for subshifts
-(r >= 0). The canonical form of a set is its word set on the smallest ladder
-window expressing it; that window is an intrinsic property of the set, so
-equal sets have identical canonical forms and canonicalization is idempotent.
+Canonical windows come from the per-system ladder, which the spec classes
+in `systems` define (`floor`, `ladder_window`, `ladder_size`): depth
+windows [0, d-1] for odometers (d >= 1) and symmetric windows [-r, r] for
+subshifts (r >= 0). The canonical form of a set is its word set on the
+smallest ladder window expressing it; that window is an intrinsic property
+of the set, so equal sets have identical canonical forms and
+canonicalization is idempotent.
 
-Subshift words move between ladder windows through one fiber table per
-(system, width, slice): each admissible inner word maps to its admissible
-extensions on the wider window. Expansion replaces each word by its fiber.
-For both kinds, a set shrinks one rung iff the fiber sizes of its sliced
-words add up to its word count; distinct admissible words never overfill a
-fiber, so equality means every fiber is whole. Odometer fibers are the p
-digits of the dropped coordinate and need no table.
-
-Translation is exact: T^n of a depth-d odometer cylinder is the depth-d
-cylinder of (value + n) mod block_size, because digit addition acts bijectively
-on the tail. For subshifts T^n shifts the window by -n.
+Expansion replaces each word by its fiber on the wider window. A set
+shrinks one rung iff the fiber sizes of its sliced words add up to its word
+count; distinct admissible words never overfill a fiber, so equality means
+every fiber is whole. Translation by T^n is the spec's exact action on
+word sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import NotPartitionError, PreconditionError
 from .systems import SystemSpec, PointRep, Word, language, point_window
 
-_EXT_CACHE: dict = {}
-
-
-def _ladder_window(spec: SystemSpec, size: int) -> tuple[int, int]:
-    # size = depth d >= 1 (odometer) or radius r >= 0 (subshift)
-    if spec.kind == "odometer":
-        return (0, size - 1)
-    return (-size, size)
-
-
-def _ladder_size(spec: SystemSpec, lo: int, hi: int) -> int:
-    """Smallest ladder size whose window contains [lo, hi]."""
-    if spec.kind == "odometer":
-        if lo < 0:
-            raise PreconditionError("odometer windows start at 0")
-        return hi + 1
-    return max(-lo, hi, 0)
-
 
 def _expand_words(spec: SystemSpec, words: frozenset, win: tuple[int, int], size: int) -> frozenset:
     """Word set expressing the same set on the ladder window of the given size."""
     lo, hi = win
-    LO, HI = _ladder_window(spec, size)
+    LO, HI = spec.ladder_window(size)
     if (LO, HI) == (lo, hi):
         return words
     if not (LO <= lo and hi <= HI):
         raise PreconditionError("expansion target must contain the source window")
-    if spec.kind == "odometer":
-        # left ends match (both 0); extend to the right by all digit tails
-        tails = itertools.product(*(range(spec.base_at(i)) for i in range(hi + 1, HI + 1)))
-        tails = list(tails)
-        return frozenset(w + t for w in words for t in tails)
-    fibers = _fibers(spec, HI - LO + 1, lo - LO, hi - LO + 1)
-    return frozenset(big for w in words for big in fibers[w])
-
-
-def _fibers(spec: SystemSpec, width: int, a: int, b: int) -> dict:
-    """Each admissible (b-a)-word -> its admissible width-words w with w[a:b] == it.
-
-    Built once per key. The keys are the tuples held by language(spec, b - a),
-    not fresh slices, so the table keeps no word copies of its own.
-    """
-    key = (spec, width, a, b)
-    fibers = _EXT_CACHE.get(key)
-    if fibers is None:
-        fibers = {u: [] for u in language(spec, b - a)}
-        for big in language(spec, width):
-            fibers[big[a:b]].append(big)
-        _EXT_CACHE[key] = fibers
-    return fibers
+    return spec.extend_words(words, HI - LO + 1, lo - LO, hi - LO + 1)
 
 
 def _shrink(spec: SystemSpec, words: frozenset, size: int) -> tuple[frozenset, int]:
     """Walk down the ladder while the word set stays expressible."""
-    floor = 1 if spec.kind == "odometer" else 0
-    while size > floor:
-        lo, hi = _ladder_window(spec, size)
-        slo, shi = _ladder_window(spec, size - 1)
+    while size > spec.floor:
+        lo, hi = spec.ladder_window(size)
+        slo, shi = spec.ladder_window(size - 1)
         a, b = slo - lo, shi - lo + 1
         smaller = frozenset(w[a:b] for w in words)
-        if spec.kind == "odometer":
-            covered = spec.base_at(hi) * len(smaller)
-        else:
-            fibers = _fibers(spec, hi - lo + 1, a, b)
-            covered = sum(len(fibers[u]) for u in smaller)
-        if covered != len(words):
+        if spec.fiber_total(smaller, hi - lo + 1, a, b) != len(words):
             break
         words = smaller
         size -= 1
@@ -115,12 +64,10 @@ class ClopenSet:
 
     @staticmethod
     def _canonical(spec: SystemSpec, words: frozenset, win: tuple[int, int]) -> "ClopenSet":
-        size = _ladder_size(spec, *win)
-        floor = 1 if spec.kind == "odometer" else 0
-        size = max(size, floor)
-        words = _expand_words(spec, words, win, size) if win != _ladder_window(spec, size) else words
+        size = spec.ladder_size(*win)
+        words = _expand_words(spec, words, win, size) if win != spec.ladder_window(size) else words
         words, size = _shrink(spec, words, size)
-        lo, hi = _ladder_window(spec, size)
+        lo, hi = spec.ladder_window(size)
         return ClopenSet(spec, lo, hi, words)
 
     def is_empty(self) -> bool:
@@ -134,7 +81,7 @@ class ClopenSet:
     def _common(self, other: "ClopenSet") -> tuple[int, frozenset, frozenset]:
         if self.spec != other.spec:
             raise PreconditionError("sets live over different systems")
-        size = max(_ladder_size(self.spec, self.lo, self.hi), _ladder_size(self.spec, other.lo, other.hi))
+        size = max(self.spec.ladder_size(self.lo, self.hi), self.spec.ladder_size(other.lo, other.hi))
         return (
             size,
             _expand_words(self.spec, self.words, (self.lo, self.hi), size),
@@ -143,15 +90,15 @@ class ClopenSet:
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         size, a, b = self._common(other)
-        return ClopenSet._canonical(self.spec, a | b, _ladder_window(self.spec, size))
+        return ClopenSet._canonical(self.spec, a | b, self.spec.ladder_window(size))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         size, a, b = self._common(other)
-        return ClopenSet._canonical(self.spec, a & b, _ladder_window(self.spec, size))
+        return ClopenSet._canonical(self.spec, a & b, self.spec.ladder_window(size))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         size, a, b = self._common(other)
-        return ClopenSet._canonical(self.spec, a - b, _ladder_window(self.spec, size))
+        return ClopenSet._canonical(self.spec, a - b, self.spec.ladder_window(size))
 
     def complement(self) -> "ClopenSet":
         width = self.hi - self.lo + 1
@@ -172,15 +119,8 @@ class ClopenSet:
         """T^n of this set, exact."""
         if n == 0 or self.is_empty():
             return self
-        spec = self.spec
-        if spec.kind == "odometer":
-            depth = self.hi + 1
-            block = spec.block_size(depth)
-            moved = frozenset(
-                spec.value_word((spec.word_value(w) + n) % block, depth) for w in self.words
-            )
-            return ClopenSet._canonical(spec, moved, (0, depth - 1))
-        return ClopenSet._canonical(spec, self.words, (self.lo - n, self.hi - n))
+        words, win = self.spec.translate_words(self.words, (self.lo, self.hi), n)
+        return ClopenSet._canonical(self.spec, words, win)
 
     def contains_point(self, p: PointRep) -> bool:
         return point_window(p, self.lo, self.hi) in self.words
@@ -188,19 +128,18 @@ class ClopenSet:
     def fits_in_radius(self, radius: int) -> bool:
         """True iff the set lies inside a single central cylinder of the radius.
 
-        Central means coordinates [0, radius-1] for odometers and
-        [-radius, radius] for subshifts; equivalently diam <= 2^-radius.
+        Central means coordinates on the ladder window of the radius,
+        [0, radius-1] for odometers and [-radius, radius] for subshifts;
+        equivalently diam <= 2^-radius.
         """
         if self.is_empty():
             return True
-        floor = 1 if self.spec.kind == "odometer" else 0
-        size = max(_ladder_size(self.spec, self.lo, self.hi), radius, floor)
-        words = _expand_words(self.spec, self.words, (self.lo, self.hi), size)
-        lo, hi = _ladder_window(self.spec, size)
-        if self.spec.kind == "odometer":
-            a, b = 0, radius
-        else:
-            a, b = -radius - lo, radius - lo + 1
+        spec = self.spec
+        size = max(spec.ladder_size(self.lo, self.hi), radius)
+        words = _expand_words(spec, self.words, (self.lo, self.hi), size)
+        lo, _ = spec.ladder_window(size)
+        clo, chi = spec.ladder_window(radius)
+        a, b = clo - lo, chi - lo + 1
         return len({w[a:b] for w in words}) == 1
 
     # -- presentation ------------------------------------------------------
@@ -231,24 +170,25 @@ def cylinder(spec: SystemSpec, word, offset: int = 0) -> ClopenSet:
     word = tuple(word)
     if not word:
         raise PreconditionError("cylinder word must be nonempty")
-    if spec.kind == "odometer":
-        if offset != 0:
-            raise PreconditionError("odometer cylinders use offset 0 only")
-        if not spec.word_admissible(word):
-            return empty(spec)
-        return ClopenSet._canonical(spec, frozenset([word]), (0, len(word) - 1))
-    if word not in language(spec, len(word)):
+    win = spec.word_window(offset, len(word))
+    if not spec.word_admissible(word):
         return empty(spec)
-    return ClopenSet._canonical(spec, frozenset([word]), (offset, offset + len(word) - 1))
+    return ClopenSet._canonical(spec, frozenset([word]), win)
+
+
+def central_cylinder(spec: SystemSpec, point: PointRep, size: int) -> ClopenSet:
+    """Cylinder of the point's coordinates on the ladder window of the size."""
+    lo, hi = spec.ladder_window(size)
+    return cylinder(spec, point.window(lo, hi), lo)
 
 
 def full(spec: SystemSpec) -> ClopenSet:
-    lo, hi = _ladder_window(spec, 1 if spec.kind == "odometer" else 0)
+    lo, hi = spec.ladder_window(spec.floor)
     return ClopenSet(spec, lo, hi, frozenset(language(spec, hi - lo + 1)))
 
 
 def empty(spec: SystemSpec) -> ClopenSet:
-    lo, hi = _ladder_window(spec, 1 if spec.kind == "odometer" else 0)
+    lo, hi = spec.ladder_window(spec.floor)
     return ClopenSet(spec, lo, hi, frozenset())
 
 
@@ -269,10 +209,9 @@ def check_partition(spec: SystemSpec, cells) -> None:
     cells = list(cells)
     if not cells:
         raise NotPartitionError("no cells")
-    size = max(_ladder_size(spec, c.lo, c.hi) for c in cells)
-    size = max(size, 1 if spec.kind == "odometer" else 0)
+    size = max(spec.ladder_size(c.lo, c.hi) for c in cells)
     expanded = [_expand_words(spec, c.words, (c.lo, c.hi), size) for c in cells]
-    lo, hi = _ladder_window(spec, size)
+    lo, hi = spec.ladder_window(size)
     admissible = language(spec, hi - lo + 1)
     total = sum(len(ws) for ws in expanded)
     covered = frozenset().union(*expanded)
@@ -294,9 +233,8 @@ def refine_common(spec: SystemSpec, partitions) -> list[ClopenSet]:
         raise PreconditionError("need at least one partition")
     for p in partitions:
         check_partition(spec, p)
-    size = max(_ladder_size(spec, c.lo, c.hi) for p in partitions for c in p)
-    size = max(size, 1 if spec.kind == "odometer" else 0)
-    lo, hi = _ladder_window(spec, size)
+    size = max(spec.ladder_size(c.lo, c.hi) for p in partitions for c in p)
+    lo, hi = spec.ladder_window(size)
     admissible = language(spec, hi - lo + 1)
     owners = []
     for p in partitions:

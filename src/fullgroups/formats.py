@@ -10,30 +10,11 @@ from __future__ import annotations
 
 from .canon import Factorization
 from .clopen import ClopenSet, cylinder, empty, full, union_all
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .group import GroupElement, element_hash, make_element
 from .lef import LEFWitness
 from .systems import SystemSpec, make_system
 from .towers import KRPartition
-
-
-def render_word(spec: SystemSpec, word) -> str:
-    return "".join(str(c) for c in word)
-
-
-def _parse_word(spec: SystemSpec, text: str):
-    if spec.kind == "odometer":
-        if not text.isdigit():
-            raise ParseError(f"bad odometer word {text!r}")
-        word = tuple(int(c) for c in text)
-        for i, d in enumerate(word):
-            if d >= spec.bases[i % len(spec.bases)]:
-                raise ParseError(f"digit {d} too large at position {i} in {text!r}")
-        return word
-    letters = set(spec.alphabet)
-    if not text or any(c not in letters for c in text):
-        raise ParseError(f"bad word {text!r} for alphabet {sorted(letters)}")
-    return tuple(text)
 
 
 def render_clopen(c: ClopenSet) -> str:
@@ -42,7 +23,7 @@ def render_clopen(c: ClopenSet) -> str:
     if c.is_full():
         return "FULL"
     return " + ".join(
-        f"{render_word(c.spec, w)}@{c.lo}" for w in c.sorted_words()
+        f"{c.spec.render_word(w)}@{c.lo}" for w in c.sorted_words()
     )
 
 
@@ -62,10 +43,11 @@ def parse_clopen(text: str, spec: SystemSpec) -> ClopenSet:
             offset = int(otext)
         except ValueError:
             raise ParseError(f"bad offset in {token!r}")
-        word = _parse_word(spec, wtext)
-        if spec.kind == "odometer" and offset != 0:
-            raise ParseError("odometer words start at position 0")
-        parts.append(cylinder(spec, word, offset))
+        word = spec.parse_word(wtext)
+        try:
+            parts.append(cylinder(spec, word, offset))
+        except PreconditionError as exc:  # a word the system cannot place there
+            raise ParseError(str(exc))
     return union_all(spec, parts)
 
 
@@ -170,7 +152,10 @@ def parse_factorization(text: str):
 
 
 def render_lef_witness(w: LEFWitness) -> str:
-    lines = [f"lef level={w.level}"]
+    lines = [
+        f"lef level={w.level}",
+        " ".join(["elements"] + sorted(element_hash(s) for s in w.elements)),
+    ]
     entries = sorted(
         (element_hash(s), h) for s, h in w.table
     )
@@ -181,7 +166,8 @@ def render_lef_witness(w: LEFWitness) -> str:
 
 
 def parse_lef_witness(text: str):
-    """(level, ((element-hash, H-element), ...)) from a witness file."""
+    """(level, F element hashes, ((element-hash, H-element), ...)) from a
+    witness file."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("lef level="):
         raise ParseError("witness must start with 'lef level=<n>'")
@@ -189,17 +175,23 @@ def parse_lef_witness(text: str):
         level = int(lines[0][len("lef level="):])
     except ValueError:
         raise ParseError(f"bad witness header {lines[0]!r}")
+    head, *elements = lines[1].split() if len(lines) > 1 else [""]
+    if head != "elements" or not elements:
+        raise ParseError("witness needs an 'elements <hash> ...' line after the header")
     entries = []
-    for ln in lines[1:]:
+    for ln in lines[2:]:
         digest, sep, rest = ln.partition(" -> ")
         if not sep:
             raise ParseError(f"bad witness line {ln!r}")
-        helem = tuple(
-            tuple(int(t) for t in part.split())
-            for part in rest.split(" | ")
-        )
+        try:
+            helem = tuple(
+                tuple(int(t) for t in part.split())
+                for part in rest.split(" | ")
+            )
+        except ValueError:
+            raise ParseError(f"bad permutation in witness line {ln!r}")
         entries.append((digest.strip(), helem))
-    return level, tuple(entries)
+    return level, tuple(elements), tuple(entries)
 
 
 def render_system_config(spec: SystemSpec) -> str:

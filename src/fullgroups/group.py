@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from .clopen import (
     ClopenSet,
     _expand_words,
-    _ladder_size,
-    _ladder_window,
+    central_cylinder,
     check_partition,
     cylinder,
     empty,
@@ -33,9 +32,6 @@ class GroupElement:
 
     spec: SystemSpec
     pieces: tuple[tuple[int, ClopenSet], ...]  # sorted by power, merged, disjoint, covering
-
-    def power_on(self, piece_index: int) -> int:
-        return self.pieces[piece_index][0]
 
     def cocycle_values(self) -> list[int]:
         return [n for n, _ in self.pieces]
@@ -201,10 +197,7 @@ def disjoint_cylinder_block(spec: SystemSpec, m: int) -> ClopenSet:
     point, _ = base_point(spec, "primary")
     size = 1
     while True:
-        if spec.kind == "odometer":
-            u = cylinder(spec, point.window(0, size - 1))
-        else:
-            u = cylinder(spec, point.window(-size, size), -size)
+        u = central_cylinder(spec, point, size)
         blocks = [u.translate(i) for i in range(m)]
         if all(blocks[i].disjoint(blocks[j]) for i in range(m) for j in range(i + 1, m)):
             return u
@@ -221,15 +214,14 @@ def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
     rest = used.complement()
     if rest.is_empty():
         raise PreconditionError("nothing left to carve")
-    size = 1 if spec.kind == "odometer" else 0
+    size = spec.floor
     while True:
-        lo, hi = (0, size - 1) if spec.kind == "odometer" else (-size, size)
-        if hi >= lo:
-            words = sorted(
-                w for w in language(spec, hi - lo + 1) if cylinder(spec, w, lo).subset(rest)
-            )
-            if len(words) >= 2:
-                return cylinder(spec, words[0], lo)
+        lo, hi = spec.ladder_window(size)
+        words = sorted(
+            w for w in language(spec, hi - lo + 1) if cylinder(spec, w, lo).subset(rest)
+        )
+        if len(words) >= 2:
+            return cylinder(spec, words[0], lo)
         size += 1
         if size > 64:
             raise PreconditionError("carving failed at sane depth")
@@ -258,18 +250,17 @@ def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
         rf = first_return(spec, cyl)
         t = min(rf.cells)
         cell = rf.cells[t]
-        depth = 1 if spec.kind == "odometer" else 0
+        depth = spec.floor
         b_prime = None
         while b_prime is None:
-            lo, hi = (0, depth - 1) if spec.kind == "odometer" else (-depth, depth)
-            if hi >= lo:
-                for w in sorted(language(spec, hi - lo + 1)):
-                    cand = cylinder(spec, w, lo).intersect(cell)
-                    if cand.is_empty():
-                        continue
-                    if cand.translate(t).disjoint(cand):
-                        b_prime = cand
-                        break
+            lo, hi = spec.ladder_window(depth)
+            for w in sorted(language(spec, hi - lo + 1)):
+                cand = cylinder(spec, w, lo).intersect(cell)
+                if cand.is_empty():
+                    continue
+                if cand.translate(t).disjoint(cand):
+                    b_prime = cand
+                    break
             depth += 1
             if depth > 64:
                 raise PreconditionError("no separated sub-cylinder at sane depth")
@@ -288,9 +279,8 @@ def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
 def cocycle_table(s: GroupElement) -> tuple[tuple[int, int], dict]:
     """(window, word -> power) over the hull ladder window of all pieces."""
     spec = s.spec
-    size = max(_ladder_size(spec, c.lo, c.hi) for _, c in s.pieces)
-    size = max(size, 1 if spec.kind == "odometer" else 0)
-    win = _ladder_window(spec, size)
+    size = max(spec.ladder_size(c.lo, c.hi) for _, c in s.pieces)
+    win = spec.ladder_window(size)
     table: dict = {}
     for n, c in s.pieces:
         for w in _expand_words(spec, c.words, (c.lo, c.hi), size):
@@ -304,10 +294,10 @@ def cocycle_values_on(s: GroupElement, a: ClopenSet) -> set[int]:
         return set()
     spec = s.spec
     win, table = cocycle_table(s)
-    size_s = _ladder_size(spec, *win)
-    size_a = _ladder_size(spec, a.lo, a.hi)
+    size_s = spec.ladder_size(*win)
+    size_a = spec.ladder_size(a.lo, a.hi)
     if size_a >= size_s:
-        lo, hi = _ladder_window(spec, size_a)
+        lo, hi = spec.ladder_window(size_a)
         a0, b0 = win[0] - lo, win[1] - lo + 1
         return {table[w[a0:b0]] for w in a.words}
     words = _expand_words(spec, a.words, (a.lo, a.hi), size_s)

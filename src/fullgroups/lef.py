@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .canon import _LEVEL_CAP, PermutationForm, Refusal, factorize, is_n_permutation, order_exceeds
-from .clopen import cylinder
+from .clopen import central_cylinder
 from .errors import PreconditionError, VerificationError
 from .group import (
     GroupElement,
@@ -32,7 +32,7 @@ from .group import (
     make_element,
 )
 from .systems import SystemSpec, base_point
-from .towers import KRPartition, induced, kr_from_set, tower_sequence
+from .towers import KRPartition, induced, kr_from_set
 
 HElement = tuple  # one one-line permutation per tower
 
@@ -201,8 +201,8 @@ def _witness_at(spec, f_set, squares, n) -> LEFWitness | None:
     )
 
 
-def _image_of(table, s: GroupElement) -> HElement:
-    return next(h for u, h in table if equals(u, s))
+def _image_of(table, s: GroupElement) -> HElement | None:
+    return next((h for u, h in table if equals(u, s)), None)
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,17 @@ class LEFReport:
 
 
 def verify_lef(w: LEFWitness) -> LEFReport:
-    """Re-check injectivity on F and multiplicativity on F×F pair by pair."""
+    """Re-check injectivity on F and multiplicativity on F×F pair by pair,
+    after checking that every table image is a level permutation of H."""
+    desc = w.group
+    outside = [s for s, h in w.table if not desc.contains(h)]
+    if outside:
+        heights = ",".join(str(h) for h in desc.heights)
+        return LEFReport(False, tuple(
+            f"image of {element_hash(s)} in H (tower heights {heights}): FAIL" for s in outside
+        ))
     lines = []
     ok = True
-    desc = w.group
     for i, s in enumerate(w.squares):
         for t in w.squares[i + 1:]:
             distinct = w.image(s) != w.image(t)
@@ -229,11 +236,9 @@ def verify_lef(w: LEFWitness) -> LEFReport:
             )
     for s in w.elements:
         for t in w.elements:
-            st = compose(s, t)
-            match = next((u for u, _ in w.table if equals(u, st)), None)
-            good = match is not None and desc.compose(
-                w.image(s), w.image(t)
-            ) == w.image(match)
+            # a member or product missing from the table fails its line
+            hs, ht, hst = (_image_of(w.table, u) for u in (s, t, compose(s, t)))
+            good = None not in (hs, ht, hst) and desc.compose(hs, ht) == hst
             ok = ok and good
             lines.append(
                 f"product {element_hash(s)}*{element_hash(t)}: "
@@ -271,9 +276,9 @@ def _kernel_element(spec, xi: KRPartition, exps) -> GroupElement:
 
 
 def structure_partition(spec: SystemSpec, n: int) -> KRPartition:
-    """Single tower over the depth-n cylinder of the primary point."""
+    """Single tower over the size-n central cylinder of the primary point."""
     x, _ = base_point(spec, "primary")
-    return kr_from_set(spec, cylinder(spec, x.window(0, n - 1)), index=n)
+    return kr_from_set(spec, central_cylinder(spec, x, n), index=n)
 
 
 def structure_decompose(s: GroupElement, xi: KRPartition):

@@ -12,7 +12,6 @@ import random
 
 from .clopen import ClopenSet, cylinder, union_all
 from .group import (
-    GroupElement,
     compose,
     disjoint_cylinder_block,
     embed_symmetric,

@@ -8,6 +8,17 @@ int digits for odometers and single-character strings for subshifts.
 Odometers are one-sided (coordinates 0, 1, 2, ...) and T adds 1 with carry at
 position 0. Substitution subshifts are two-sided and T is the left shift,
 (Tx)[i] = x[i+1].
+
+The window ladder is defined here, on the two spec classes, and nowhere
+else: `ladder_window(size)` is the depth window [0, size-1] for odometers
+(size >= 1) and the symmetric window [-size, size] for subshifts (size >= 0),
+with `floor` the smallest size and `ladder_size(lo, hi)` the smallest size
+whose window contains [lo, hi]. The specs also move word sets along the
+ladder: `extend_words` rewrites a set on a wider window and `fiber_total`
+counts the words one rung up over a set of narrower ones. Odometer fibers
+are the digit tails of the added coordinates and are never enumerated.
+Subshift fibers come from one table per (system, width, slice), mapping
+each admissible inner word to its admissible extensions.
 """
 
 from __future__ import annotations
@@ -17,13 +28,14 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
-from .errors import PreconditionError, SystemConfigError
+from .errors import ParseError, PreconditionError, SystemConfigError
 
 Word = tuple  # tuple of int digits (odometer) or 1-char strings (subshift)
 
 # Global caches keyed by spec value; specs are frozen dataclasses, so equal
-# descriptions share cached languages and base points.
+# descriptions share cached languages, fiber tables and base points.
 _LANG_CACHE: dict = {}
+_EXT_CACHE: dict = {}
 _POINT_CACHE: dict = {}
 
 
@@ -38,6 +50,7 @@ class OdometerSpec:
     bases: tuple[int, ...]
 
     kind = "odometer"
+    floor = 1  # the depth-1 window [0, 0]
 
     def __post_init__(self):
         if not self.bases:
@@ -65,6 +78,10 @@ class OdometerSpec:
             scale *= self.base_at(i)
         return v
 
+    def digit_words(self, start: int, stop: int):
+        """All digit words over the coordinates start..stop-1."""
+        return itertools.product(*(range(self.base_at(i)) for i in range(start, stop)))
+
     def value_word(self, v: int, depth: int) -> Word:
         digits = []
         for i in range(depth):
@@ -73,14 +90,76 @@ class OdometerSpec:
             v //= p
         return tuple(digits)
 
-    def words(self, depth: int):
-        return itertools.product(*(range(self.base_at(i)) for i in range(depth)))
-
     def render_word(self, w: Word) -> str:
         return "".join(str(d) for d in w)
 
+    def parse_word(self, text: str) -> Word:
+        if not (text.isascii() and text.isdigit()):
+            raise ParseError(f"bad odometer word {text!r}")
+        word = tuple(int(c) for c in text)
+        for i, d in enumerate(word):
+            if d >= self.base_at(i):
+                raise ParseError(f"digit {d} too large at position {i} in {text!r}")
+        return word
+
     def word_admissible(self, w: Word, offset: int = 0) -> bool:
         return all(isinstance(d, int) and 0 <= d < self.base_at(offset + i) for i, d in enumerate(w))
+
+    # -- window geometry ---------------------------------------------------
+
+    def ladder_window(self, size: int) -> tuple[int, int]:
+        return (0, size - 1)
+
+    def ladder_size(self, lo: int, hi: int) -> int:
+        """Smallest ladder size whose window contains [lo, hi]."""
+        if lo < 0:
+            raise PreconditionError("odometer windows start at 0")
+        return max(hi + 1, self.floor)
+
+    def word_window(self, offset: int, length: int) -> tuple[int, int]:
+        """Window of a cylinder word placed at the offset."""
+        if offset != 0:
+            raise PreconditionError("odometer cylinders use offset 0 only")
+        return (0, length - 1)
+
+    def extend_words(self, words: frozenset, width: int, a: int, b: int) -> frozenset:
+        """The width-words w with w[a:b] in words; windows share their left end, so a == 0."""
+        tails = list(self.digit_words(b, width))
+        return frozenset(w + t for w in words for t in tails)
+
+    def fiber_total(self, inner: frozenset, width: int, a: int, b: int) -> int:
+        """Number of width-words w with w[a:b] in inner, for a window one rung
+        wider (width == b + 1): one per digit of the added coordinate b."""
+        return len(inner) * self.base_at(b)
+
+    def translate_words(self, words: frozenset, win: tuple[int, int], n: int):
+        """T^n on a depth-window word set: (value + n) mod the block size.
+
+        Digit addition acts bijectively on the tail, so the window stays.
+        """
+        depth = win[1] + 1
+        block = self.block_size(depth)
+        moved = frozenset(self.value_word((self.word_value(w) + n) % block, depth) for w in words)
+        return moved, win
+
+    # -- per-kind bodies of the module-level functions ---------------------
+
+    def build_language(self, length: int) -> frozenset:
+        if self.block_size(length) > 1 << 22:
+            raise PreconditionError(f"odometer window of depth {length} is too wide to enumerate")
+        return frozenset(self.digit_words(0, length))
+
+    def recurrence_bound(self, word: Word) -> int:
+        # the first return time to a depth-d cylinder is the block size
+        if not self.word_admissible(word):
+            raise PreconditionError(f"inadmissible digit word {word!r}")
+        return self.block_size(len(word))
+
+    def base_point(self, which: str):
+        if which == "primary":
+            return OdometerPoint(self, (), (0,)), True
+        pt = OdometerPoint(self, (), (1, 0))
+        return pt, pt.orbit_certificate()
 
 
 @dataclass(frozen=True)
@@ -91,6 +170,7 @@ class SubstitutionSpec:
     rule: tuple[tuple[str, str], ...]  # sorted (letter, image) pairs
 
     kind = "substitution"
+    floor = 0  # the radius-0 window [0, 0]
 
     def __post_init__(self):
         seen = set(self.alphabet)
@@ -123,11 +203,67 @@ class SubstitutionSpec:
     def render_word(self, w: Word) -> str:
         return "".join(w)
 
-    def words(self, length: int):
-        return sorted(language(self, length))
+    def parse_word(self, text: str) -> Word:
+        letters = set(self.alphabet)
+        if not text or any(c not in letters for c in text):
+            raise ParseError(f"bad word {text!r} for alphabet {sorted(letters)}")
+        return tuple(text)
 
     def word_admissible(self, w: Word, offset: int = 0) -> bool:
         return w in language(self, len(w))
+
+    # -- window geometry ---------------------------------------------------
+
+    def ladder_window(self, size: int) -> tuple[int, int]:
+        return (-size, size)
+
+    def ladder_size(self, lo: int, hi: int) -> int:
+        """Smallest ladder size whose window contains [lo, hi]."""
+        return max(-lo, hi, self.floor)
+
+    def word_window(self, offset: int, length: int) -> tuple[int, int]:
+        """Window of a cylinder word placed at the offset."""
+        return (offset, offset + length - 1)
+
+    def extend_words(self, words: frozenset, width: int, a: int, b: int) -> frozenset:
+        """The admissible width-words w with w[a:b] in words."""
+        fibers = _fibers(self, width, a, b)
+        return frozenset(big for w in words for big in fibers[w])
+
+    def fiber_total(self, inner: frozenset, width: int, a: int, b: int) -> int:
+        """Number of admissible width-words w with w[a:b] in inner."""
+        fibers = _fibers(self, width, a, b)
+        return sum(len(fibers[u]) for u in inner)
+
+    def translate_words(self, words: frozenset, win: tuple[int, int], n: int):
+        """T^n shifts the window by -n and keeps the words."""
+        return words, (win[0] - n, win[1] - n)
+
+    # -- per-kind bodies of the module-level functions ---------------------
+
+    def build_language(self, length: int) -> frozenset:
+        return frozenset(tuple(w) for w in _subst_factors(self, length))
+
+    def recurrence_bound(self, word: Word) -> int:
+        # least R with `word` a factor of every admissible length-R word
+        # (exists by minimality)
+        if word not in language(self, len(word)):
+            raise PreconditionError(f"inadmissible word {word!r}")
+        w = "".join(word)
+        r = len(w)
+        while True:
+            if all(w in "".join(v) for v in language(self, r)):
+                return r
+            r += 1
+
+    def base_point(self, which: str):
+        seeds = list(itertools.islice(_fixed_point_seeds(self), 2))
+        if not seeds:
+            raise SystemConfigError("no fixed-point seed found for substitution")
+        if which == "primary":
+            return SubstitutionPoint(self, *seeds[0]), True
+        # the second seed, or the primary one again when there is no other
+        return SubstitutionPoint(self, *seeds[-1]), False
 
 
 SystemSpec = OdometerSpec | SubstitutionSpec
@@ -239,36 +375,29 @@ def language(spec: SystemSpec, length: int) -> frozenset:
         raise PreconditionError("word length must be >= 1")
     per = _LANG_CACHE.setdefault(spec, {})
     if length not in per:
-        if spec.kind == "odometer":
-            if spec.block_size(length) > 1 << 22:
-                raise PreconditionError(
-                    f"odometer window of depth {length} is too wide to enumerate"
-                )
-            per[length] = frozenset(spec.words(length))
-        else:
-            per[length] = frozenset(tuple(w) for w in _subst_factors(spec, length))
+        per[length] = spec.build_language(length)
     return per[length]
 
 
-def recurrence_bound(spec: SystemSpec, word: Word) -> int:
-    """A bound R such that every orbit meets the cylinder of `word` within R steps.
+def _fibers(spec: SubstitutionSpec, width: int, a: int, b: int) -> dict:
+    """Each admissible (b-a)-word -> its admissible width-words w with w[a:b] == it.
 
-    For subshifts this is the least R with `word` a factor of every admissible
-    length-R word (exists by minimality). For odometers the first return time
-    to a depth-d cylinder is exactly the block size p_1 * ... * p_d.
+    Built once per key. The keys are the tuples held by language(spec, b - a),
+    not fresh slices, so the table keeps no word copies of its own.
     """
-    if spec.kind == "odometer":
-        if not spec.word_admissible(word):
-            raise PreconditionError(f"inadmissible digit word {word!r}")
-        return spec.block_size(len(word))
-    if word not in language(spec, len(word)):
-        raise PreconditionError(f"inadmissible word {word!r}")
-    w = "".join(word)
-    r = len(w)
-    while True:
-        if all(w in "".join(v) for v in language(spec, r)):
-            return r
-        r += 1
+    key = (spec, width, a, b)
+    fibers = _EXT_CACHE.get(key)
+    if fibers is None:
+        fibers = {u: [] for u in language(spec, b - a)}
+        for big in language(spec, width):
+            fibers[big[a:b]].append(big)
+        _EXT_CACHE[key] = fibers
+    return fibers
+
+
+def recurrence_bound(spec: SystemSpec, word: Word) -> int:
+    """A bound R such that every orbit meets the cylinder of `word` within R steps."""
+    return spec.recurrence_bound(word)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +487,14 @@ class OdometerPoint:
         """
         return not self.eventually_zero() and not self.eventually_top()
 
+    def certified_apart(self, other: "OdometerPoint") -> bool:
+        """True iff the two points are certified to lie in different orbits.
+
+        An uncertified odometer point is eventually constant, so it lies in
+        the orbit of 0^inf; the other point is then certified outside it.
+        """
+        return self.orbit_certificate() != other.orbit_certificate()
+
 
 @dataclass(frozen=True)
 class SubstitutionPoint:
@@ -402,6 +539,9 @@ class SubstitutionPoint:
     def orbit_certificate(self) -> bool:
         return False  # no distinct-orbit certification procedure for subshifts
 
+    def certified_apart(self, other: "SubstitutionPoint") -> bool:
+        return False
+
 
 PointRep = OdometerPoint | SubstitutionPoint
 
@@ -430,25 +570,9 @@ def base_point(spec: SystemSpec, which: str = "primary") -> tuple[PointRep, bool
     if which not in ("primary", "alternate"):
         raise PreconditionError(f"unknown base point {which!r}")
     key = (spec, which)
-    if key in _POINT_CACHE:
-        return _POINT_CACHE[key]
-    if spec.kind == "odometer":
-        if which == "primary":
-            result = OdometerPoint(spec, (), (0,)), True
-        else:
-            pt = OdometerPoint(spec, (), (1, 0))
-            result = pt, pt.orbit_certificate()
-    else:
-        seeds = list(itertools.islice(_fixed_point_seeds(spec), 2))
-        if not seeds:
-            raise SystemConfigError("no fixed-point seed found for substitution")
-        if which == "primary":
-            result = SubstitutionPoint(spec, *seeds[0]), True
-        else:
-            seed = seeds[1] if len(seeds) > 1 else seeds[0]
-            result = SubstitutionPoint(spec, *seed), False
-    _POINT_CACHE[key] = result
-    return result
+    if key not in _POINT_CACHE:
+        _POINT_CACHE[key] = spec.base_point(which)
+    return _POINT_CACHE[key]
 
 
 def point_window(p: PointRep, lo: int, hi: int) -> Word:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clopen import ClopenSet, check_partition, cylinder, union_all
+from .clopen import ClopenSet, central_cylinder, check_partition, cylinder, union_all
 from .errors import PreconditionError, VerificationError
 from .group import GroupElement, _build
 from .systems import SystemSpec, PointRep, base_point, language
@@ -153,12 +153,6 @@ def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:
     return KRPartition(xi.spec, tuple(new_towers), xi.index, xi.band)
 
 
-def _central_cylinder(spec: SystemSpec, point: PointRep, size: int) -> ClopenSet:
-    if spec.kind == "odometer":
-        return cylinder(spec, point.window(0, size - 1))
-    return cylinder(spec, point.window(-size, size), -size)
-
-
 def _diameter_radius(n: int) -> int:
     # one past the dyadic depth needed for cylinder diameter below 1/n
     return 1 + (n - 1).bit_length()
@@ -200,7 +194,7 @@ class TowerSequence:
             # levels determine every cocycle within the bands
             size = max(size, 2 * n, rad + m + 1)
         while True:
-            base = _central_cylinder(self.spec, self.anchor, size)
+            base = central_cylinder(self.spec, self.anchor, size)
             xi = kr_from_set(self.spec, base, index=n, band=m)
             if min(xi.heights()) < 2 * m + 2:
                 size += 1
@@ -220,24 +214,13 @@ class TowerSequence:
         if not (self.spec.kind == "odometer" and single_word_cells and size >= n):
             # depth-size single-cylinder atoms already determine any
             # length-n initial block, so the scan is only needed otherwise
-            for w in sorted(language(self.spec, self._central_width(n))):
-                c = self._central_word_cylinder(w, n)
+            lo, hi = self.spec.ladder_window(n)
+            for w in sorted(language(self.spec, hi - lo + 1)):
+                c = cylinder(self.spec, w, lo)
                 if not xi.refines_set(c):
                     xi = refine_against(xi, c)
         self._levels.append(xi)
         self._sizes.append(size)
-
-    def _central_width(self, n: int) -> int:
-        return n if self.spec.kind == "odometer" else 2 * n + 1
-
-    def _central_word_cylinder(self, w, n: int) -> ClopenSet:
-        if self.spec.kind == "odometer":
-            return cylinder(self.spec, w)
-        return cylinder(self.spec, w, -n)
-
-    def base_size(self, n: int) -> int:
-        self.level(n)
-        return self._sizes[n - 1]
 
 
 _SEQ_CACHE: dict = {}

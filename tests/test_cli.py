@@ -3,6 +3,7 @@
 import pytest
 
 from fullgroups import cli
+from fullgroups.formats import render_lef_witness
 
 
 @pytest.fixture
@@ -208,3 +209,61 @@ def test_workspace_env_var(ws, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["index", "T"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.fixture
+def readme_witness(ws):
+    """README's `lef` example: w1.lef over {id, T, sw} on the 2-odometer."""
+    tmp, run = ws
+    assert run("element", "make", "--system", "odo2", "--out", "sw",
+               "--piece", "10@0 -> 1", "--piece", "01@0 -> -1",
+               "--piece", "00@0 -> 0", "--piece", "11@0 -> 0") == 0
+    assert run("element", "make", "--system", "odo2", "--out", "id",
+               "--piece", "FULL -> 0") == 0
+    (tmp / "flist.txt").write_text("id\nT\nsw\n")
+    assert run("lef", "--set", str(tmp / "flist.txt"), "--out", "w1") == 0
+    lines = (tmp / "w1.lef").read_text().splitlines()
+    assert lines[0].startswith("lef level=") and lines[1].startswith("elements ")
+    return tmp, run, lines
+
+
+def _swap_rows(lines):
+    rows = lines[2:]
+    (h0, _, p0), (h1, _, p1) = rows[0].partition(" -> "), rows[1].partition(" -> ")
+    return lines[:2] + [f"{h0} -> {p1}", f"{h1} -> {p0}"] + rows[2:]
+
+
+def _edit_entry(lines, value):
+    head, _, perm = lines[2].partition(" -> ")
+    vals = perm.split()
+    vals[0] = value
+    return lines[:2] + [f"{head} -> {' '.join(vals)}"] + lines[3:]
+
+
+@pytest.mark.parametrize("mutate, code", [
+    pytest.param(lambda ls: ls[:3], 3, id="header-F-line-and-one-row"),
+    pytest.param(lambda ls: ls[:1] + ls[2:3], 4, id="header-and-one-row"),
+    pytest.param(lambda ls: ls[:1] + ls[2:], 4, id="F-line-deleted"),
+    pytest.param(lambda ls: ls[:2] + ls[3:], 3, id="first-row-deleted"),
+    pytest.param(lambda ls: ls[:-1], 3, id="last-row-deleted"),
+    pytest.param(_swap_rows, 3, id="two-rows-swapped"),
+    pytest.param(lambda ls: _edit_entry(ls, "1"), 3, id="entry-edited-to-a-repeat"),
+    pytest.param(lambda ls: _edit_entry(ls, "99"), 3, id="entry-edited-out-of-range"),
+    pytest.param(lambda ls: _edit_entry(ls, "x"), 4, id="entry-edited-to-a-non-number"),
+])
+def test_lef_verify_rejects_mutated_witness(readme_witness, capsys, mutate, code):
+    tmp, run, lines = readme_witness
+    (tmp / "w2.lef").write_text("\n".join(mutate(lines)) + "\n")
+    capsys.readouterr()
+    assert run("lef", "verify", "w2") == code
+    if code == 3:
+        out = capsys.readouterr().out
+        assert "FAIL" in out and out.splitlines()[-1] == "fail"
+
+
+def test_lef_witness_file_round_trips_through_the_loader(readme_witness):
+    tmp, run, lines = readme_witness
+    text = (tmp / "w1.lef").read_text()
+    w = cli._load_witness(cli.Workspace(tmp), text)
+    assert render_lef_witness(w) == text
+    assert run("lef", "verify", "w1") == 0

@@ -3,11 +3,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullgroups import clopen
+from fullgroups import systems
 from fullgroups.clopen import (
     ClopenSet,
-    _fibers,
-    _ladder_window,
     check_partition,
     cylinder,
     empty,
@@ -16,7 +14,7 @@ from fullgroups.clopen import (
     union_all,
 )
 from fullgroups.errors import NotPartitionError, PreconditionError
-from fullgroups.systems import base_point, language, make_system
+from fullgroups.systems import _fibers, base_point, language, make_system
 
 O2 = make_system({"kind": "odometer", "bases": [2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
@@ -178,10 +176,9 @@ def test_union_all():
 
 def _reference_canonical(spec, words, size):
     """Canonical form with the projection-count table rebuilt from the language on each rung."""
-    floor = 1 if spec.kind == "odometer" else 0
-    while size > floor:
-        lo, hi = _ladder_window(spec, size)
-        slo, shi = _ladder_window(spec, size - 1)
+    while size > spec.floor:
+        lo, hi = spec.ladder_window(size)
+        slo, shi = spec.ladder_window(size - 1)
         a, b = slo - lo, shi - lo + 1
         groups = Counter(w[a:b] for w in words)
         full_counts = Counter(big[a:b] for big in language(spec, hi - lo + 1))
@@ -189,7 +186,7 @@ def _reference_canonical(spec, words, size):
             break
         words = frozenset(groups)
         size -= 1
-    lo, hi = _ladder_window(spec, size)
+    lo, hi = spec.ladder_window(size)
     return lo, hi, words
 
 
@@ -197,11 +194,10 @@ def _reference_canonical(spec, words, size):
 @given(st.sampled_from(["fib", "tm", "o23"]), st.data())
 def test_canonical_matches_count_table_reference(which, data):
     spec = {"fib": FIB, "tm": TM, "o23": O23}[which]
-    floor = 1 if spec.kind == "odometer" else 0
-    size = data.draw(st.integers(floor, floor + 4), label="size")
-    coarse = data.draw(st.integers(floor, size), label="coarse")
-    lo, hi = _ladder_window(spec, size)
-    clo, chi = _ladder_window(spec, coarse)
+    size = data.draw(st.integers(spec.floor, spec.floor + 4), label="size")
+    coarse = data.draw(st.integers(spec.floor, size), label="coarse")
+    lo, hi = spec.ladder_window(size)
+    clo, chi = spec.ladder_window(coarse)
     a, b = clo - lo, chi - lo + 1
     # a union of whole fibers of a coarser window, then a few words toggled,
     # so that both shrinking and stopping on a rung are exercised
@@ -211,7 +207,7 @@ def test_canonical_matches_count_table_reference(which, data):
     words ^= data.draw(st.sets(st.sampled_from(admissible), max_size=2), label="toggled")
     words = frozenset(words)
     expected = _reference_canonical(spec, words, size)
-    clopen._EXT_CACHE.clear()
+    systems._EXT_CACHE.clear()
     cold = ClopenSet._canonical(spec, words, (lo, hi))
     warm = ClopenSet._canonical(spec, words, (lo, hi))
     assert (cold.lo, cold.hi, cold.words) == expected

@@ -21,6 +21,7 @@ from fullgroups.formats import (
 )
 from fullgroups.group import (
     disjoint_cylinder_block,
+    element_hash,
     embed_symmetric,
     equals,
     identity,
@@ -68,6 +69,8 @@ def test_clopen_parse_errors():
         parse_clopen("01@1", ODO2)
     with pytest.raises(ParseError):
         parse_clopen("ac@0", FIB)
+    with pytest.raises(ParseError):  # a digit character that int() refuses
+        parse_clopen("\u00b2@0", ODO2)
 
 
 def test_element_round_trip():
@@ -129,8 +132,9 @@ def test_lef_witness_round_trip():
     g = embed_symmetric(ODO2, 3, (1, 2, 0), disjoint_cylinder_block(ODO2, 3))
     w = lef_map([shift(ODO2, 1), g])
     text = render_lef_witness(w)
-    level, entries = parse_lef_witness(text)
+    level, elements, entries = parse_lef_witness(text)
     assert level == w.level
+    assert elements == tuple(sorted(element_hash(s) for s in w.elements))
     assert len(entries) == len(w.table)
     assert render_lef_witness(w) == text
     images = {h for _, h in entries}
@@ -142,6 +146,14 @@ def test_lef_witness_parse_errors():
         parse_lef_witness("level=3\nabc -> 0 1")
     with pytest.raises(ParseError):
         parse_lef_witness("lef level=3\nabc 0 1")
+    with pytest.raises(ParseError):
+        parse_lef_witness("lef level=3\nelements abc\nabc 0 1")
+    with pytest.raises(ParseError):  # no F line
+        parse_lef_witness("lef level=3\nabc -> 0 1")
+    with pytest.raises(ParseError):
+        parse_lef_witness("lef level=3\nelements\nabc -> 0 1")
+    with pytest.raises(ParseError):
+        parse_lef_witness("lef level=3\nelements abc\nabc -> 0 x")
 
 
 def test_system_config_round_trip():
