@@ -18,6 +18,7 @@ from .clopen import ClopenSet, central_cylinder, union_all
 from .errors import PreconditionError, VerificationError
 from .group import (
     GroupElement,
+    _DEPTH_CAP,
     _build,
     agree_on,
     cocycle_at,
@@ -36,7 +37,6 @@ from .systems import PointRep, SystemSpec, base_point
 from .towers import KRPartition, first_return, tower_sequence
 
 _LEVEL_CAP = 24
-_DEPTH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def factorize(
         while data is None:
             n += 1
             if n > _LEVEL_CAP:
-                raise VerificationError("factorization level search exceeded the cap")
+                raise VerificationError(f"factorization level search exceeded _LEVEL_CAP = {_LEVEL_CAP}")
             xi = seq.level(n)
             data = _level_data(q_elem, xi, q)
     f_atoms, f_bands, perms = data
@@ -452,7 +452,7 @@ def _find_swap_site(spec, x, y, q: int, p_floor: int, depth_budget: int):
             ):
                 continue
             return c, p
-    raise PreconditionError("swap-site search exhausted the depth budget; raise it")
+    raise PreconditionError(f"swap-site search exhausted depth_budget = {depth_budget}; raise it")
 
 
 def separation_parts(
@@ -495,7 +495,7 @@ def separation_parts(
             ],
         )
         return sigma, tau
-    raise PreconditionError("no block system found within the depth budget")
+    raise PreconditionError(f"no block system found within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 def _cell_time(rf, u: ClopenSet) -> int | None:

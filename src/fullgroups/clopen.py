@@ -1,4 +1,4 @@
-"""Exact clopen subsets of a system, canonicalized as word sets over a window.
+"""Exact clopen subsets of a system, canonicalized as word masks over a window.
 
 Canonical windows come from the per-system ladder, which the spec classes
 in `systems` define (`floor`, `ladder_window`, `ladder_size`): depth
@@ -8,11 +8,11 @@ smallest ladder window expressing it; that window is an intrinsic property
 of the set, so equal sets have identical canonical forms and
 canonicalization is idempotent.
 
-Expansion replaces each word by its fiber on the wider window. A set
-shrinks one rung iff the fiber sizes of its sliced words add up to its word
-count; distinct admissible words never overfill a fiber, so equality means
-every fiber is whole. Translation by T^n is the spec's exact action on
-word sets.
+A word set is one int bitmask over the word index of its window's width,
+encoded by the spec (`encode`, `decode`). Union, intersection and
+difference are `| & &~` on a common window; expansion, the one-rung shrink
+test and translation by T^n are the spec's mask operations. Words are
+decoded only for rendering, hashing and ordering.
 """
 
 from __future__ import annotations
@@ -20,73 +20,81 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotPartitionError, PreconditionError
-from .systems import SystemSpec, PointRep, Word, language, point_window
+# `language` stays a module-level alias: bench/tracer.py wraps it in each layer
+from .systems import SystemSpec, PointRep, Word, language, point_window  # noqa: F401
 
 
-def _expand_words(spec: SystemSpec, words: frozenset, win: tuple[int, int], size: int) -> frozenset:
-    """Word set expressing the same set on the ladder window of the given size."""
+class WordMask(int):
+    """A word set as a bitmask over its window's word index; len is its word count."""
+
+    __slots__ = ()
+    __len__ = int.bit_count
+
+
+def _expand_words(spec: SystemSpec, mask: int, win: tuple[int, int], size: int) -> WordMask:
+    """Mask expressing the same set on the ladder window of the given size."""
     lo, hi = win
     LO, HI = spec.ladder_window(size)
     if (LO, HI) == (lo, hi):
-        return words
+        return WordMask(mask)
     if not (LO <= lo and hi <= HI):
         raise PreconditionError("expansion target must contain the source window")
-    return spec.extend_words(words, HI - LO + 1, lo - LO, hi - LO + 1)
+    return WordMask(spec.expand_mask(mask, HI - LO + 1, lo - LO, hi - LO + 1))
 
 
-def _shrink(spec: SystemSpec, words: frozenset, size: int) -> tuple[frozenset, int]:
+def _shrink(spec: SystemSpec, mask: WordMask, size: int) -> tuple[int, int]:
     """Walk down the ladder while the word set stays expressible."""
+    lo, hi = spec.ladder_window(size)
     while size > spec.floor:
-        lo, hi = spec.ladder_window(size)
         slo, shi = spec.ladder_window(size - 1)
-        a, b = slo - lo, shi - lo + 1
-        smaller = frozenset(w[a:b] for w in words)
-        if spec.fiber_total(smaller, hi - lo + 1, a, b) != len(words):
+        smaller = spec.shrink_mask(mask, hi - lo + 1, slo - lo, shi - lo + 1)
+        if smaller is None:
             break
-        words = smaller
-        size -= 1
-    return words, size
+        mask, size, lo, hi = smaller, size - 1, slo, shi
+    return mask, size
 
 
 @dataclass(frozen=True)
 class ClopenSet:
-    """Canonical clopen set: admissible words over a ladder window."""
+    """Canonical clopen set: a mask of admissible words over a ladder window."""
 
     spec: SystemSpec
     lo: int
     hi: int
-    words: frozenset = field(hash=False)
+    mask: int = field(hash=False)
 
     def __hash__(self):
-        return hash((self.lo, self.hi, self.words))
+        return hash((self.lo, self.hi, self.mask))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _canonical(spec: SystemSpec, words: frozenset, win: tuple[int, int]) -> "ClopenSet":
+    def _canonical(spec: SystemSpec, mask: int, win: tuple[int, int]) -> "ClopenSet":
         size = spec.ladder_size(*win)
-        words = _expand_words(spec, words, win, size) if win != spec.ladder_window(size) else words
-        words, size = _shrink(spec, words, size)
+        if win != spec.ladder_window(size):
+            mask = _expand_words(spec, mask, win, size)
+        mask, size = _shrink(spec, WordMask(mask), size)
         lo, hi = spec.ladder_window(size)
-        return ClopenSet(spec, lo, hi, words)
+        return ClopenSet(spec, lo, hi, mask)
 
     def is_empty(self) -> bool:
-        return not self.words
+        return not self.mask
 
     def is_full(self) -> bool:
         return self == full(self.spec)
 
     # -- algebra -----------------------------------------------------------
 
-    def _common(self, other: "ClopenSet") -> tuple[int, frozenset, frozenset]:
-        if self.spec != other.spec:
+    def _common(self, other: "ClopenSet") -> tuple[int, int, int]:
+        """Both masks on the smaller set's window expanded to the larger one."""
+        spec = self.spec
+        if spec != other.spec:
             raise PreconditionError("sets live over different systems")
-        size = max(self.spec.ladder_size(self.lo, self.hi), self.spec.ladder_size(other.lo, other.hi))
-        return (
-            size,
-            _expand_words(self.spec, self.words, (self.lo, self.hi), size),
-            _expand_words(self.spec, other.words, (other.lo, other.hi), size),
-        )
+        mine, theirs = spec.ladder_size(self.lo, self.hi), spec.ladder_size(other.lo, other.hi)
+        size = max(mine, theirs)
+        a = self.mask if mine == size else _expand_words(spec, self.mask, (self.lo, self.hi), size)
+        b = other.mask if theirs == size else _expand_words(spec, other.mask, (other.lo, other.hi), size)
+        return size, a, b
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         size, a, b = self._common(other)
@@ -98,16 +106,15 @@ class ClopenSet:
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         size, a, b = self._common(other)
-        return ClopenSet._canonical(self.spec, a - b, self.spec.ladder_window(size))
+        return ClopenSet._canonical(self.spec, a & ~b, self.spec.ladder_window(size))
 
     def complement(self) -> "ClopenSet":
-        width = self.hi - self.lo + 1
-        admissible = language(self.spec, width)
-        return ClopenSet._canonical(self.spec, frozenset(admissible) - self.words, (self.lo, self.hi))
+        whole = self.spec.full_mask(self.hi - self.lo + 1)
+        return ClopenSet._canonical(self.spec, whole & ~self.mask, (self.lo, self.hi))
 
     def subset(self, other: "ClopenSet") -> bool:
         size, a, b = self._common(other)
-        return a <= b
+        return not (a & ~b)
 
     def disjoint(self, other: "ClopenSet") -> bool:
         size, a, b = self._common(other)
@@ -119,11 +126,12 @@ class ClopenSet:
         """T^n of this set, exact."""
         if n == 0 or self.is_empty():
             return self
-        words, win = self.spec.translate_words(self.words, (self.lo, self.hi), n)
-        return ClopenSet._canonical(self.spec, words, win)
+        mask, lo, hi = self.spec.translate_mask(self.mask, self.lo, self.hi, n)
+        return ClopenSet._canonical(self.spec, mask, (lo, hi))
 
     def contains_point(self, p: PointRep) -> bool:
-        return point_window(p, self.lo, self.hi) in self.words
+        word = point_window(p, self.lo, self.hi)
+        return bool(self.mask >> self.spec.word_bit(word, self.hi - self.lo + 1) & 1)
 
     def fits_in_radius(self, radius: int) -> bool:
         """True iff the set lies inside a single central cylinder of the radius.
@@ -136,29 +144,39 @@ class ClopenSet:
             return True
         spec = self.spec
         size = max(spec.ladder_size(self.lo, self.hi), radius)
-        words = _expand_words(spec, self.words, (self.lo, self.hi), size)
-        lo, _ = spec.ladder_window(size)
+        mask = _expand_words(spec, self.mask, (self.lo, self.hi), size)
+        lo, hi = spec.ladder_window(size)
         clo, chi = spec.ladder_window(radius)
         a, b = clo - lo, chi - lo + 1
-        return len({w[a:b] for w in words}) == 1
+        # the central cylinder through one word of the set must hold them all
+        (word,) = spec.decode(mask & -mask, hi - lo + 1)
+        around = _expand_words(spec, spec.encode([word[a:b]], b - a), (clo, chi), size)
+        return not (mask & ~around)
 
     # -- presentation ------------------------------------------------------
 
+    def _decode(self) -> list:
+        return self.spec.decode(self.mask, self.hi - self.lo + 1)
+
+    @property
+    def words(self) -> frozenset:
+        return frozenset(self._decode())
+
     def sorted_words(self) -> list:
-        return sorted(self.words)
+        return sorted(self._decode())
 
     def word_count(self) -> int:
-        return len(self.words)
+        return self.mask.bit_count()
 
     def lex_least_word(self) -> Word:
         if self.is_empty():
             raise PreconditionError("empty set has no words")
-        return min(self.words)
+        return min(self._decode())
 
     def __repr__(self):
         if self.is_empty():
             return f"ClopenSet(EMPTY over {self.spec.kind})"
-        return f"ClopenSet({len(self.words)} words on [{self.lo},{self.hi}])"
+        return f"ClopenSet({self.word_count()} words on [{self.lo},{self.hi}])"
 
 
 def cylinder(spec: SystemSpec, word, offset: int = 0) -> ClopenSet:
@@ -173,7 +191,7 @@ def cylinder(spec: SystemSpec, word, offset: int = 0) -> ClopenSet:
     win = spec.word_window(offset, len(word))
     if not spec.word_admissible(word):
         return empty(spec)
-    return ClopenSet._canonical(spec, frozenset([word]), win)
+    return ClopenSet._canonical(spec, spec.encode([word], len(word)), win)
 
 
 def central_cylinder(spec: SystemSpec, point: PointRep, size: int) -> ClopenSet:
@@ -184,12 +202,12 @@ def central_cylinder(spec: SystemSpec, point: PointRep, size: int) -> ClopenSet:
 
 def full(spec: SystemSpec) -> ClopenSet:
     lo, hi = spec.ladder_window(spec.floor)
-    return ClopenSet(spec, lo, hi, frozenset(language(spec, hi - lo + 1)))
+    return ClopenSet(spec, lo, hi, spec.full_mask(hi - lo + 1))
 
 
 def empty(spec: SystemSpec) -> ClopenSet:
     lo, hi = spec.ladder_window(spec.floor)
-    return ClopenSet(spec, lo, hi, frozenset())
+    return ClopenSet(spec, lo, hi, 0)
 
 
 def union_all(spec: SystemSpec, sets) -> ClopenSet:
@@ -202,31 +220,32 @@ def union_all(spec: SystemSpec, sets) -> ClopenSet:
 def check_partition(spec: SystemSpec, cells) -> None:
     """Raise NotPartitionError unless the cells tile the whole space.
 
-    Cardinality argument on a common window: the union covers iff its words
-    are all admissible words, and the cells are disjoint iff their word
-    counts add up to the union's.
+    Cardinality argument on a common window: the union covers iff its mask
+    is the full mask, and the cells are disjoint iff their word counts add
+    up to the union's.
     """
     cells = list(cells)
     if not cells:
         raise NotPartitionError("no cells")
     size = max(spec.ladder_size(c.lo, c.hi) for c in cells)
-    expanded = [_expand_words(spec, c.words, (c.lo, c.hi), size) for c in cells]
+    expanded = [_expand_words(spec, c.mask, (c.lo, c.hi), size) for c in cells]
     lo, hi = spec.ladder_window(size)
-    admissible = language(spec, hi - lo + 1)
-    total = sum(len(ws) for ws in expanded)
-    covered = frozenset().union(*expanded)
-    if covered != admissible:
+    whole = spec.full_mask(hi - lo + 1)
+    covered = 0
+    for m in expanded:
+        covered |= m
+    if covered != whole:
         raise NotPartitionError("cells leave a gap")
-    if total != len(admissible):
+    if sum(m.bit_count() for m in expanded) != whole.bit_count():
         raise NotPartitionError("cells overlap")
 
 
 def refine_common(spec: SystemSpec, partitions) -> list[ClopenSet]:
     """Common refinement of several partitions of the space.
 
-    Each input family is validated as a partition first. Cells of the output
-    are grouped by membership signature on a common window, so they are
-    exactly the nonempty intersections of one cell from each family.
+    Each input family is validated as a partition first. The output cells
+    are exactly the nonempty intersections of one cell from each family,
+    in lexicographic order of their cell indices.
     """
     partitions = [list(p) for p in partitions]
     if not partitions:
@@ -235,19 +254,8 @@ def refine_common(spec: SystemSpec, partitions) -> list[ClopenSet]:
         check_partition(spec, p)
     size = max(spec.ladder_size(c.lo, c.hi) for p in partitions for c in p)
     lo, hi = spec.ladder_window(size)
-    admissible = language(spec, hi - lo + 1)
-    owners = []
+    cells = [spec.full_mask(hi - lo + 1)]
     for p in partitions:
-        table = {}
-        for ci, c in enumerate(p):
-            for w in _expand_words(spec, c.words, (c.lo, c.hi), size):
-                table[w] = ci
-        owners.append(table)
-    groups: dict[tuple, set] = {}
-    for w in admissible:
-        sig = tuple(tab[w] for tab in owners)
-        groups.setdefault(sig, set()).add(w)
-    return [
-        ClopenSet._canonical(spec, frozenset(ws), (lo, hi))
-        for sig, ws in sorted(groups.items())
-    ]
+        masks = [_expand_words(spec, c.mask, (c.lo, c.hi), size) for c in p]
+        cells = [m & c for m in cells for c in masks if m & c]
+    return [ClopenSet._canonical(spec, m, (lo, hi)) for m in cells]

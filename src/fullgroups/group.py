@@ -25,6 +25,9 @@ from .clopen import (
 from .errors import NotPartitionError, PreconditionError
 from .systems import SystemSpec, PointRep, base_point, language
 
+# Largest ladder size the cylinder searches here, and canon's, try.
+_DEPTH_CAP = 64
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -186,7 +189,7 @@ def embed_symmetric(spec: SystemSpec, m: int, perm, u: ClopenSet) -> GroupElemen
 def element_hash(s: GroupElement) -> str:
     """Stable 16-hex-digit digest of the canonical piece data."""
     blob = repr(
-        (s.spec, tuple((p, c.lo, c.hi, tuple(sorted(c.words))) for p, c in s.pieces))
+        (s.spec, tuple((p, c.lo, c.hi, tuple(c.sorted_words())) for p, c in s.pieces))
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -202,8 +205,8 @@ def disjoint_cylinder_block(spec: SystemSpec, m: int) -> ClopenSet:
         if all(blocks[i].disjoint(blocks[j]) for i in range(m) for j in range(i + 1, m)):
             return u
         size += 1
-        if size > 64:
-            raise PreconditionError("no disjoint block found at sane depth")
+        if size > _DEPTH_CAP:
+            raise PreconditionError(f"no disjoint block found within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
@@ -223,8 +226,8 @@ def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
         if len(words) >= 2:
             return cylinder(spec, words[0], lo)
         size += 1
-        if size > 64:
-            raise PreconditionError("carving failed at sane depth")
+        if size > _DEPTH_CAP:
+            raise PreconditionError(f"carving failed within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 _DIRECTSUM_STATE: dict = {}
@@ -262,8 +265,8 @@ def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
                     b_prime = cand
                     break
             depth += 1
-            if depth > 64:
-                raise PreconditionError("no separated sub-cylinder at sane depth")
+            if depth > _DEPTH_CAP:
+                raise PreconditionError(f"no separated sub-cylinder within _DEPTH_CAP = {_DEPTH_CAP}")
         b_second = b_prime.translate(t)
         q1 = induced(spec, b_prime)
         q2 = induced(spec, b_second)
@@ -283,25 +286,14 @@ def cocycle_table(s: GroupElement) -> tuple[tuple[int, int], dict]:
     win = spec.ladder_window(size)
     table: dict = {}
     for n, c in s.pieces:
-        for w in _expand_words(spec, c.words, (c.lo, c.hi), size):
+        for w in spec.decode(_expand_words(spec, c.mask, (c.lo, c.hi), size), win[1] - win[0] + 1):
             table[w] = n
     return win, table
 
 
 def cocycle_values_on(s: GroupElement, a: ClopenSet) -> set[int]:
     """Set of cocycle values f_S takes on the clopen set A."""
-    if a.is_empty():
-        return set()
-    spec = s.spec
-    win, table = cocycle_table(s)
-    size_s = spec.ladder_size(*win)
-    size_a = spec.ladder_size(a.lo, a.hi)
-    if size_a >= size_s:
-        lo, hi = spec.ladder_window(size_a)
-        a0, b0 = win[0] - lo, win[1] - lo + 1
-        return {table[w[a0:b0]] for w in a.words}
-    words = _expand_words(spec, a.words, (a.lo, a.hi), size_s)
-    return {table[w] for w in words}
+    return {n for n, c in s.pieces if not c.disjoint(a)}
 
 
 def agree_on(s1: GroupElement, s2: GroupElement, a: ClopenSet) -> bool:

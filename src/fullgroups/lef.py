@@ -162,7 +162,7 @@ def lef_map(f_elems, level: int | None = None) -> LEFWitness:
             return w
     if level is not None:
         raise PreconditionError(f"level {level} does not support a witness for F")
-    raise VerificationError("witness level search exceeded the cap")
+    raise VerificationError(f"witness level search exceeded _LEVEL_CAP = {_LEVEL_CAP}")
 
 
 def _witness_at(spec, f_set, squares, n) -> LEFWitness | None:

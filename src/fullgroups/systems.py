@@ -13,12 +13,17 @@ The window ladder is defined here, on the two spec classes, and nowhere
 else: `ladder_window(size)` is the depth window [0, size-1] for odometers
 (size >= 1) and the symmetric window [-size, size] for subshifts (size >= 0),
 with `floor` the smallest size and `ladder_size(lo, hi)` the smallest size
-whose window contains [lo, hi]. The specs also move word sets along the
-ladder: `extend_words` rewrites a set on a wider window and `fiber_total`
-counts the words one rung up over a set of narrower ones. Odometer fibers
-are the digit tails of the added coordinates and are never enumerated.
-Subshift fibers come from one table per (system, width, slice), mapping
-each admissible inner word to its admissible extensions.
+whose window contains [lo, hi].
+
+The specs also own the encoding of word sets: a set of words on a window of
+a given width is one int bitmask over that width's word index.
+- Odometers: bit v is the digit word of value v mod p_1...p_d, so a set is
+  a residue set. Expansion multiplies by a repunit, a rung drops iff the
+  mask repeats its low block, and T^n is a rotation. Masks wider than
+  `_ODOMETER_WORD_CAP` bits are refused.
+- Subshifts: bit i is the i-th word of sorted(language(spec, width)). One
+  table per (system, width, slice) holds the fiber mask of each inner word
+  and the inner index of each outer word; T^n only moves the window.
 """
 
 from __future__ import annotations
@@ -26,17 +31,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from .errors import ParseError, PreconditionError, SystemConfigError
 
 Word = tuple  # tuple of int digits (odometer) or 1-char strings (subshift)
 
 # Global caches keyed by spec value; specs are frozen dataclasses, so equal
-# descriptions share cached languages, fiber tables and base points.
+# descriptions share cached languages, word indexes, fiber tables, repunits
+# and base points.
 _LANG_CACHE: dict = {}
 _EXT_CACHE: dict = {}
 _POINT_CACHE: dict = {}
+
+# Widest odometer window, in digit words, that is enumerated or held as a
+# mask: an int of this many bits is 512 KiB.
+_ODOMETER_WORD_CAP = 1 << 22
 
 
 def _lcm(a: int, b: int) -> int:
@@ -68,7 +78,8 @@ class OdometerSpec:
 
     def block_size(self, depth: int) -> int:
         """Number of digit words of the given depth, i.e. p_1 * ... * p_depth."""
-        return reduce(lambda a, i: a * self.base_at(i), range(depth), 1)
+        cycles, rest = divmod(depth, len(self.bases))
+        return prod(self.bases) ** cycles * prod(self.bases[:rest])
 
     def word_value(self, w: Word) -> int:
         """Integer encoded by a digit word, least significant digit first."""
@@ -122,31 +133,65 @@ class OdometerSpec:
             raise PreconditionError("odometer cylinders use offset 0 only")
         return (0, length - 1)
 
-    def extend_words(self, words: frozenset, width: int, a: int, b: int) -> frozenset:
-        """The width-words w with w[a:b] in words; windows share their left end, so a == 0."""
-        tails = list(self.digit_words(b, width))
-        return frozenset(w + t for w in words for t in tails)
+    # -- word sets as masks: bit v is the digit word of value v -------------
 
-    def fiber_total(self, inner: frozenset, width: int, a: int, b: int) -> int:
-        """Number of width-words w with w[a:b] in inner, for a window one rung
-        wider (width == b + 1): one per digit of the added coordinate b."""
-        return len(inner) * self.base_at(b)
+    def mask_width(self, depth: int) -> int:
+        """Bits of a mask on the depth window, p_1 * ... * p_depth, capped."""
+        size = self.block_size(depth)
+        if size > _ODOMETER_WORD_CAP:
+            raise PreconditionError(
+                f"odometer window of depth {depth} has {size} words, over "
+                f"_ODOMETER_WORD_CAP = 2^{_ODOMETER_WORD_CAP.bit_length() - 1}"
+            )
+        return size
 
-    def translate_words(self, words: frozenset, win: tuple[int, int], n: int):
-        """T^n on a depth-window word set: (value + n) mod the block size.
+    def full_mask(self, width: int) -> int:
+        return (1 << self.mask_width(width)) - 1
 
-        Digit addition acts bijectively on the tail, so the window stays.
-        """
-        depth = win[1] + 1
-        block = self.block_size(depth)
-        moved = frozenset(self.value_word((self.word_value(w) + n) % block, depth) for w in words)
-        return moved, win
+    def word_bit(self, w: Word, width: int) -> int:
+        return self.word_value(w)
+
+    def encode(self, words, width: int) -> int:
+        self.mask_width(width)
+        return reduce(lambda m, w: m | 1 << self.word_value(w), words, 0)
+
+    def decode(self, mask: int, width: int) -> list:
+        return [self.value_word(v, width) for v in _bits(mask)]
+
+    def expand_mask(self, mask: int, width: int, a: int, b: int) -> int:
+        """Mask of the width-words w with w[a:b] in the set; windows share
+        their left end, so a == 0 and every digit tail is appended: the mask
+        times the repunit with one bit per multiple of p_1 * ... * p_b."""
+        key = (self, b, width)
+        repunit = _EXT_CACHE.get(key)
+        if repunit is None:
+            whole, step = self.mask_width(width), self.block_size(b)
+            repunit = _EXT_CACHE[key] = ((1 << whole) - 1) // ((1 << step) - 1)
+        return mask * repunit
+
+    def shrink_mask(self, mask: int, width: int, a: int, b: int) -> int | None:
+        """Mask one rung down (width == b + 1), or None unless the set is the
+        low block repeated once per digit of coordinate b."""
+        p = self.base_at(b)
+        if mask.bit_count() % p:
+            return None
+        step = self.block_size(b)
+        # the low block repeats iff the mask is step-periodic
+        if mask >> step != mask & ((1 << step * (p - 1)) - 1):
+            return None
+        return mask & ((1 << step) - 1)
+
+    def translate_mask(self, mask: int, lo: int, hi: int, n: int):
+        """T^n adds n to every value mod the block size: a rotation, and the
+        window stays."""
+        size = self.block_size(hi + 1)
+        n %= size
+        return ((mask << n) | (mask >> (size - n))) & ((1 << size) - 1), lo, hi
 
     # -- per-kind bodies of the module-level functions ---------------------
 
     def build_language(self, length: int) -> frozenset:
-        if self.block_size(length) > 1 << 22:
-            raise PreconditionError(f"odometer window of depth {length} is too wide to enumerate")
+        self.mask_width(length)
         return frozenset(self.digit_words(0, length))
 
     def recurrence_bound(self, word: Word) -> int:
@@ -225,19 +270,57 @@ class SubstitutionSpec:
         """Window of a cylinder word placed at the offset."""
         return (offset, offset + length - 1)
 
-    def extend_words(self, words: frozenset, width: int, a: int, b: int) -> frozenset:
-        """The admissible width-words w with w[a:b] in words."""
-        fibers = _fibers(self, width, a, b)
-        return frozenset(big for w in words for big in fibers[w])
+    # -- word sets as masks: bit i is the i-th admissible word --------------
 
-    def fiber_total(self, inner: frozenset, width: int, a: int, b: int) -> int:
-        """Number of admissible width-words w with w[a:b] in inner."""
-        fibers = _fibers(self, width, a, b)
-        return sum(len(fibers[u]) for u in inner)
+    def word_index(self, width: int) -> tuple[tuple, dict]:
+        """(sorted(language(self, width)), word -> its position), built once per width."""
+        key = (self, width)
+        index = _EXT_CACHE.get(key)
+        if index is None:
+            words = tuple(sorted(language(self, width)))
+            index = _EXT_CACHE[key] = (words, {w: i for i, w in enumerate(words)})
+        return index
 
-    def translate_words(self, words: frozenset, win: tuple[int, int], n: int):
+    def full_mask(self, width: int) -> int:
+        return (1 << len(language(self, width))) - 1
+
+    def word_bit(self, w: Word, width: int) -> int:
+        return self.word_index(width)[1][w]
+
+    def encode(self, words, width: int) -> int:
+        return reduce(lambda m, w: m | 1 << self.word_bit(w, width), words, 0)
+
+    def decode(self, mask: int, width: int) -> list:
+        words = self.word_index(width)[0]
+        return [words[i] for i in _bits(mask)]
+
+    def expand_mask(self, mask: int, width: int, a: int, b: int) -> int:
+        """Mask of the admissible width-words w with w[a:b] in the set."""
+        fibers, _ = _fiber_table(self, width, a, b)
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= fibers[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def shrink_mask(self, mask: int, width: int, a: int, b: int) -> int | None:
+        """Mask of the (b-a)-words w[a:b], or None unless the set is a union
+        of whole fibers; stops at the first fiber it only partly holds."""
+        fibers, proj = _fiber_table(self, width, a, b)
+        inner, rest = 0, mask
+        while rest:
+            j = proj[(rest & -rest).bit_length() - 1]
+            fiber = fibers[j]
+            if fiber & ~mask:
+                return None
+            inner |= 1 << j
+            rest &= ~fiber
+        return inner
+
+    def translate_mask(self, mask: int, lo: int, hi: int, n: int):
         """T^n shifts the window by -n and keeps the words."""
-        return words, (win[0] - n, win[1] - n)
+        return mask, lo - n, hi - n
 
     # -- per-kind bodies of the module-level functions ---------------------
 
@@ -379,20 +462,28 @@ def language(spec: SystemSpec, length: int) -> frozenset:
     return per[length]
 
 
-def _fibers(spec: SubstitutionSpec, width: int, a: int, b: int) -> dict:
-    """Each admissible (b-a)-word -> its admissible width-words w with w[a:b] == it.
+def _fiber_table(spec: SubstitutionSpec, width: int, a: int, b: int) -> tuple[list, list]:
+    """(fibers, proj) between the (b-a)-word index and the width-word index.
 
-    Built once per key. The keys are the tuples held by language(spec, b - a),
-    not fresh slices, so the table keeps no word copies of its own.
+    fibers[j] is the mask of the width-words w with w[a:b] the j-th inner
+    word, and proj[i] is the inner index of the i-th width-word's slice.
+    Built once per key.
     """
     key = (spec, width, a, b)
-    fibers = _EXT_CACHE.get(key)
-    if fibers is None:
-        fibers = {u: [] for u in language(spec, b - a)}
-        for big in language(spec, width):
-            fibers[big[a:b]].append(big)
-        _EXT_CACHE[key] = fibers
-    return fibers
+    table = _EXT_CACHE.get(key)
+    if table is None:
+        inner = spec.word_index(b - a)[1]
+        proj = [inner[w[a:b]] for w in spec.word_index(width)[0]]
+        fibers = [0] * len(inner)
+        for i, j in enumerate(proj):
+            fibers[j] |= 1 << i
+        table = _EXT_CACHE[key] = (fibers, proj)
+    return table
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def recurrence_bound(spec: SystemSpec, word: Word) -> int:

@@ -19,8 +19,9 @@ from fullgroups.canon import (
     t_d,
     t_u,
 )
+from fullgroups import canon
 from fullgroups.clopen import cylinder
-from fullgroups.errors import PreconditionError
+from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
     cocycle_at,
     cocycle_bound,
@@ -321,3 +322,10 @@ def test_index_kernel_matches_stabilizer_product():
         if index(s) == 0:
             p1, p2 = kernel_decompose(s)
             assert equals(compose(p1, p2), s)
+
+
+def test_level_search_cap_names_its_knob(monkeypatch):
+    monkeypatch.setattr(canon, "_LEVEL_CAP", 0)
+    monkeypatch.setattr(canon, "_FACT_CACHE", {})
+    with pytest.raises(VerificationError, match=r"_LEVEL_CAP = 0"):
+        factorize(shift(ODO2, 1))

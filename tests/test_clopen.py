@@ -14,7 +14,7 @@ from fullgroups.clopen import (
     union_all,
 )
 from fullgroups.errors import NotPartitionError, PreconditionError
-from fullgroups.systems import _fibers, base_point, language, make_system
+from fullgroups.systems import _bits, _fiber_table, base_point, language, make_system
 
 O2 = make_system({"kind": "odometer", "bases": [2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
@@ -81,7 +81,7 @@ def test_canonical_form_merges_siblings():
 
 def test_canonicalization_idempotent_and_unique():
     s = cylinder(FIB, "ab", 3).union(cylinder(FIB, "ba", -2))
-    t = ClopenSet._canonical(FIB, s.words, (s.lo, s.hi))
+    t = ClopenSet._canonical(FIB, s.mask, (s.lo, s.hi))
     assert (t.lo, t.hi, t.words) == (s.lo, s.hi, s.words)
 
 
@@ -208,17 +208,21 @@ def test_canonical_matches_count_table_reference(which, data):
     words = frozenset(words)
     expected = _reference_canonical(spec, words, size)
     systems._EXT_CACHE.clear()
-    cold = ClopenSet._canonical(spec, words, (lo, hi))
-    warm = ClopenSet._canonical(spec, words, (lo, hi))
+    mask = spec.encode(words, hi - lo + 1)
+    cold = ClopenSet._canonical(spec, mask, (lo, hi))
+    warm = ClopenSet._canonical(spec, mask, (lo, hi))
     assert (cold.lo, cold.hi, cold.words) == expected
     assert (warm.lo, warm.hi, warm.words) == expected
 
 
-def test_fiber_keys_are_interned_language_words():
+def test_fiber_masks_partition_the_language():
     for spec in (FIB, TM):
         for width, a, b in ((7, 1, 6), (5, 0, 2), (9, 4, 5)):
-            fibers = _fibers(spec, width, a, b)
-            interned = {id(u) for u in language(spec, b - a)}
-            assert fibers and all(id(u) in interned for u in fibers)
-            assert all(w[a:b] == u for u, ws in fibers.items() for w in ws)
-            assert sum(len(ws) for ws in fibers.values()) == len(language(spec, width))
+            fibers, proj = _fiber_table(spec, width, a, b)
+            outer, inner = spec.word_index(width)[0], spec.word_index(b - a)[0]
+            assert sorted(outer) == sorted(language(spec, width)) == list(outer)
+            assert sum(f.bit_count() for f in fibers) == len(outer)
+            assert sum(fibers) == (1 << len(outer)) - 1  # disjoint and covering
+            for j, fiber in enumerate(fibers):
+                assert fiber and all(outer[i][a:b] == inner[j] for i in _bits(fiber))
+                assert all(proj[i] == j for i in _bits(fiber))

@@ -1,6 +1,9 @@
 """Round-trips for every emitted text artifact."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullgroups.canon import factorize
 from fullgroups.clopen import cylinder, empty, full
@@ -29,6 +32,7 @@ from fullgroups.group import (
     shift,
 )
 from fullgroups.lef import lef_map
+from fullgroups.sampling import random_clopen
 from fullgroups.systems import make_system
 from fullgroups.towers import tower_sequence
 
@@ -43,6 +47,26 @@ def test_clopen_round_trip():
     assert text == "01@0 + 11@0"
     assert parse_clopen(text, ODO2) == c
     assert render_clopen(parse_clopen(text, ODO2)) == text
+
+
+MATRIX = {
+    "odometer-2": ODO2,
+    "odometer-2-3": make_system({"kind": "odometer", "bases": [2, 3]}),
+    "fibonacci": FIB,
+    "thue-morse": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}}),
+    "tribonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(MATRIX)), st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 5))
+def test_clopen_text_round_trip_fuzz(name, seed, pieces, depth):
+    spec = MATRIX[name]
+    c = random_clopen(spec, random.Random(seed), pieces=pieces, depth=depth)
+    for s in (c, c.complement()):
+        text = render_clopen(s)
+        assert parse_clopen(text, spec) == s
+        assert render_clopen(parse_clopen(text, spec)) == text
 
 
 def test_clopen_literals():

@@ -2,8 +2,9 @@
 
 import pytest
 
+from fullgroups import lef
 from fullgroups.canon import PermutationForm, factorize
-from fullgroups.errors import PreconditionError
+from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
     compose,
     disjoint_cylinder_block,
@@ -177,3 +178,9 @@ def test_shift_is_structure_compatible():
 def test_structure_rejects_subshift():
     with pytest.raises(PreconditionError):
         odometer_structure(FIB, 1)
+
+
+def test_witness_level_search_cap_names_its_knob(monkeypatch):
+    monkeypatch.setattr(lef, "_LEVEL_CAP", 0)
+    with pytest.raises(VerificationError, match=r"_LEVEL_CAP = 0"):
+        lef_map([shift(ODO2, 1)])
