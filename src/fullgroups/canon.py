@@ -23,7 +23,6 @@ from .group import (
     agree_on,
     cocycle_at,
     cocycle_bound,
-    cocycle_values_on,
     commutator,
     compose,
     equals,
@@ -155,16 +154,14 @@ def t_d(xi: KRPartition, j: int) -> GroupElement:
 def is_n_permutation(s: GroupElement, xi: KRPartition):
     """PermutationForm when s permutes atoms within each tower, else Refusal."""
     perms = []
-    for v, (b, h) in enumerate(xi.towers):
+    for v, ((b, h), row) in enumerate(zip(xi.towers, xi.cocycle_rows(s))):
         targets = []
-        for i in range(h):
-            a = xi.atom(v, i)
-            vals = cocycle_values_on(s, a)
+        for i, vals in enumerate(row):
             if len(vals) != 1:
-                return Refusal("cocycle not constant on an atom", a)
+                return Refusal("cocycle not constant on an atom", xi.atom(v, i))
             (f,) = vals
             if not 0 <= i + f < h:
-                return Refusal("an atom leaves its tower", a)
+                return Refusal("an atom leaves its tower", xi.atom(v, i))
             targets.append(i + f)
         if sorted(targets) != list(range(h)):
             return Refusal("levels collide inside a tower", b)
@@ -208,20 +205,22 @@ def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
     Valid means: bandwidth covers the cocycle bound, the cocycle is
     constant on every atom and on every band T^i(base) for i in
     [-m-1, m], and the induced level maps are within-tower bijections
-    after reduction mod height.
+    after reduction mod height. The atom values come from one lazy pass
+    of `KRPartition.cocycle_rows`, so a level is rejected at the first
+    atom where the cocycle is not constant.
     """
     m = xi.band
     if q > m:
         return None
     f_atoms = []
-    for v, (b, h) in enumerate(xi.towers):
-        row = []
-        for i in range(h):
-            vals = cocycle_values_on(q_elem, xi.atom(v, i))
+    for row in xi.cocycle_rows(q_elem):
+        f_row = []
+        for vals in row:
             if len(vals) != 1:
                 return None
-            row.append(next(iter(vals)))
-        f_atoms.append(row)
+            (f,) = vals
+            f_row.append(f)
+        f_atoms.append(f_row)
     f_bands = {}
     for i in range(-m - 1, m + 1):
         vals = set()

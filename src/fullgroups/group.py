@@ -5,6 +5,10 @@ space into clopen pieces with an integer power per piece: S = T^n on piece
 C_n. Canonical form merges pieces by power, so two elements are equal iff
 their canonical forms coincide. Composition follows
 f_{S1 S2}(x) = f_{S2}(x) + f_{S1}(S2 x).
+
+`_build` merges the raw pieces of one power in one step: their masks are
+OR-ed on the widest of their windows and the union is canonicalized once.
+Canonical forms are unique, so this equals a fold of pairwise unions.
 """
 
 from __future__ import annotations
@@ -44,15 +48,24 @@ class GroupElement:
 
 
 def _build(spec: SystemSpec, raw_pieces, validate: bool = False) -> GroupElement:
-    by_power: dict[int, ClopenSet] = {}
+    by_power: dict[int, list[ClopenSet]] = {}
     for n, c in raw_pieces:
-        if c.is_empty():
-            continue
-        by_power[n] = by_power[n].union(c) if n in by_power else c
+        if not c.is_empty():
+            by_power.setdefault(n, []).append(c)
     if not by_power:
         raise NotPartitionError("element has no pieces")
-    pieces = tuple(sorted(by_power.items()))
-    elem = GroupElement(spec, pieces)
+    pieces = []
+    for n in sorted(by_power):
+        cells = by_power[n]
+        piece = cells[0]
+        if len(cells) > 1:
+            size = max(spec.ladder_size(c.lo, c.hi) for c in cells)
+            mask = 0
+            for c in cells:
+                mask |= _expand_words(spec, c.mask, (c.lo, c.hi), size)
+            piece = ClopenSet._canonical(spec, mask, spec.ladder_window(size))
+        pieces.append((n, piece))
+    elem = GroupElement(spec, tuple(pieces))
     if validate:
         _validate(elem)
     return elem

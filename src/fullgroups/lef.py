@@ -21,7 +21,6 @@ from .clopen import central_cylinder
 from .errors import PreconditionError, VerificationError
 from .group import (
     GroupElement,
-    cocycle_values_on,
     commutator,
     compose,
     element_hash,
@@ -287,8 +286,7 @@ def structure_decompose(s: GroupElement, xi: KRPartition):
     m = xi.heights()[0]
     perm = []
     exps = []
-    for i in range(m):
-        vals = cocycle_values_on(s, xi.atom(0, i))
+    for i, vals in enumerate(next(xi.cocycle_rows(s))):
         if len(vals) != 1:
             raise PreconditionError("element is not compatible with the partition")
         (f,) = vals

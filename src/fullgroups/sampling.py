@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .clopen import ClopenSet, cylinder, union_all
+from .errors import PreconditionError
 from .group import (
     compose,
     disjoint_cylinder_block,
@@ -23,6 +24,9 @@ from .systems import PointRep, SystemSpec, base_point, language
 from .towers import induced
 
 _POOL_CACHE: dict = {}
+
+# Forward shifts of the primary point that point_inside tries.
+_POINT_SEARCH_CAP = 4096
 
 
 def generator_pool(spec: SystemSpec) -> list:
@@ -75,10 +79,15 @@ def random_clopen(
     return union_all(spec, parts)
 
 
-def point_inside(spec: SystemSpec, o: ClopenSet, bound: int = 4096) -> PointRep:
+def point_inside(spec: SystemSpec, o: ClopenSet) -> PointRep:
     """First forward shift of the primary point landing in the set."""
+    if o.is_empty():
+        raise PreconditionError("no point lies inside the empty set")
     x, _ = base_point(spec, "primary")
-    for k in range(bound):
+    for k in range(_POINT_SEARCH_CAP):
         if o.contains_point(x.shifted(k)):
             return x.shifted(k)
-    raise AssertionError("minimal orbit missed a nonempty clopen set within the bound")
+    raise PreconditionError(
+        f"no forward shift of the primary point lands in the set within "
+        f"_POINT_SEARCH_CAP = {_POINT_SEARCH_CAP}"
+    )

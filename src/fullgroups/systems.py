@@ -63,6 +63,8 @@ class OdometerSpec:
     floor = 1  # the depth-1 window [0, 0]
 
     def __post_init__(self):
+        # every cache lookup hashes the spec: take the field hash once
+        object.__setattr__(self, "_hash", hash((self.bases,)))
         if not self.bases:
             raise SystemConfigError("odometer needs at least one base")
         for p in self.bases:
@@ -72,6 +74,9 @@ class OdometerSpec:
                 raise SystemConfigError(
                     f"base {p} unsupported: bases up to 10 keep digit words one character per symbol"
                 )
+
+    def __hash__(self):
+        return self._hash
 
     def base_at(self, i: int) -> int:
         return self.bases[i % len(self.bases)]
@@ -218,6 +223,8 @@ class SubstitutionSpec:
     floor = 0  # the radius-0 window [0, 0]
 
     def __post_init__(self):
+        # every cache lookup hashes the spec, the checks below included
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.rule)))
         seen = set(self.alphabet)
         if len(seen) != len(self.alphabet) or not self.alphabet:
             raise SystemConfigError("alphabet must be a nonempty set of distinct letters")
@@ -234,6 +241,9 @@ class SubstitutionSpec:
             raise SystemConfigError("rule never grows; the generated shift space is finite")
         _check_primitive(self)
         _check_aperiodic(self)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rule_map(self) -> dict[str, str]:

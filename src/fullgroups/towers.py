@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clopen import ClopenSet, central_cylinder, check_partition, cylinder, union_all
+from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, cylinder, union_all
 from .errors import PreconditionError, VerificationError
 from .group import GroupElement, _build
 from .systems import SystemSpec, PointRep, base_point, language
@@ -47,7 +47,10 @@ def first_return(spec: SystemSpec, a: ClopenSet) -> ReturnFunction:
     while not remaining.is_empty():
         k += 1
         if k > _RETURN_CEILING:
-            raise VerificationError("return time exploded; system not minimal?")
+            raise VerificationError(
+                f"return time exceeded _RETURN_CEILING = 2^{_RETURN_CEILING.bit_length() - 1}; "
+                "system not minimal?"
+            )
         back = a.translate(-k)
         hit = remaining.intersect(back)
         if not hit.is_empty():
@@ -74,6 +77,7 @@ class KRPartition:
     band: int = 0  # schedule value m_n for that level
 
     _atoms: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
+    _masks: list = field(default_factory=list, hash=False, compare=False, repr=False)
 
     def heights(self) -> list[int]:
         return [h for _, h in self.towers]
@@ -92,6 +96,35 @@ class KRPartition:
         if key not in self._atoms:
             self._atoms[key] = b.translate(i)
         return self._atoms[key]
+
+    def _atom_masks(self) -> tuple[int, list]:
+        """(size, per-tower atom masks) on the level's own ladder window, built once."""
+        if not self._masks:
+            spec = self.spec
+            rows = [[self.atom(v, i) for i in range(h)] for v, (_, h) in enumerate(self.towers)]
+            size = max(spec.ladder_size(a.lo, a.hi) for row in rows for a in row)
+            self._masks.append((size, [
+                [_expand_words(spec, a.mask, (a.lo, a.hi), size) for a in row] for row in rows
+            ]))
+        return self._masks[0]
+
+    def cocycle_rows(self, s: GroupElement):
+        """Cocycle values of s on the atoms, one tower at a time.
+
+        Yields, per tower, a lazy sequence over its levels i of the set of
+        powers s takes on T^i(base). Each piece mask is expanded once to a
+        common window; an element whose pieces are finer than the level's
+        own window gets its atom masks expanded there, uncached.
+        """
+        spec = self.spec
+        own, rows = self._atom_masks()
+        size = max(own, max(spec.ladder_size(c.lo, c.hi) for _, c in s.pieces))
+        pieces = [(n, _expand_words(spec, c.mask, (c.lo, c.hi), size)) for n, c in s.pieces]
+        win = spec.ladder_window(own)
+        for row in rows:
+            if size != own:
+                row = (_expand_words(spec, a, win, size) for a in row)
+            yield ({n for n, m in pieces if m & a} for a in row)
 
     def iter_atoms(self):
         for v, (b, h) in enumerate(self.towers):

@@ -150,6 +150,14 @@ def test_separation_rejects_point_outside(ws):
                "--point", "primary", "--out", "g") == 2
 
 
+def test_separation_auto_point_refuses_empty_set(ws, capsys):
+    tmp, run = ws
+    assert run("witness", "separation", "--system", "odo2", "--set", "EMPTY",
+               "--point", "auto", "--out", "g") == 2
+    assert "empty set" in capsys.readouterr().err
+    assert not (tmp / "g.elem").exists()
+
+
 def test_lef_build_and_verify(ws, capsys):
     tmp, run = ws
     assert run("element", "make", "--system", "odo2", "--out", "id",

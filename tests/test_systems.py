@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fullgroups.errors import PreconditionError, SystemConfigError
@@ -44,6 +46,15 @@ def test_make_system_rejects_periodic():
 def test_make_system_rejects_nongrowing():
     with pytest.raises(SystemConfigError):
         make_system({"kind": "substitution", "rule": {"a": "b", "b": "a"}})
+
+
+def test_spec_hash_is_the_field_hash_taken_once():
+    for make, fields in ((odometer2, ("bases",)), (fibonacci, ("alphabet", "rule"))):
+        spec = make()
+        assert [f.name for f in dataclasses.fields(spec)] == list(fields)
+        assert hash(spec) == hash(tuple(getattr(spec, f) for f in fields))
+        assert make() == spec and hash(make()) == hash(spec)
+    assert odometer2() != make_system({"kind": "odometer", "bases": [2, 3]})
 
 
 def test_accepts_thue_morse():

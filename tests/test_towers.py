@@ -2,8 +2,9 @@
 
 import pytest
 
+from fullgroups import towers
 from fullgroups.clopen import check_partition, cylinder, empty
-from fullgroups.errors import PreconditionError
+from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
     apply,
     cocycle_at,
@@ -25,6 +26,15 @@ from fullgroups.towers import (
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
 FIB = make_system({"kind": "substitution", "alphabet": "ab", "rule": {"a": "ab", "b": "a"}})
+
+
+def test_return_ceiling_names_its_knob(monkeypatch):
+    # the depth-3 cylinder returns after 8 steps, past a ceiling of 4
+    monkeypatch.setattr(towers, "_RETURN_CEILING", 4)
+    with pytest.raises(VerificationError, match=r"_RETURN_CEILING = 2\^2\b"):
+        first_return(ODO2, cylinder(ODO2, (0, 0, 0)))
+    assert towers._RETURN_CEILING == 4
+    assert first_return(ODO2, cylinder(ODO2, (0, 0))).times() == [4]
 
 
 def test_first_return_odometer_constant():
