@@ -46,33 +46,13 @@ FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
 SYSTEMS = (ODO2, FIB)
 
 
-def _signed_residue(r: int, h: int) -> int:
-    r %= h
-    return r if 2 * r <= h else r - h
-
-
 def _recheck(fac) -> None:
-    xi = fac.xi
-    q_elem = fac.element
+    """canon's verifier on the level's tables, then the independent
+    element oracle: P and R rebuilt as elements and composed."""
+    canon._check_factorization(fac)
     assert equals(
-        compose(fac.permutation.to_element(), fac.rotation.to_element()), q_elem
+        compose(fac.permutation.to_element(), fac.rotation.to_element()), fac.element
     )
-    assert fac.rotation.rotation_number() <= 1
-    su, sd = fac.rotation.supportive_sets()
-    assert all(0 <= i < fac.n0 for i in su | sd)
-    m = xi.band
-    heights = xi.heights()
-    for i in range(-m, m + 1):
-        base = []
-        for v, h in enumerate(heights):
-            lvl = i % h
-            base.append(_signed_residue(fac.permutation.perms[v][lvl] - i, h))
-        assert len(set(base)) == 1
-    for v, h in enumerate(heights):
-        pv = fac.permutation.perms[v]
-        for i in range(h):
-            d = abs(pv[i] - i)
-            assert min(d, h - d) <= fac.n0
 
 
 def criterion_factorization(seed: int):

@@ -8,6 +8,21 @@ crossing counts past the anchor, which is how the index homomorphism is
 cross-checked. Index-0 elements split further into two forward-orbit
 stabilizer members, and every nonempty clopen set supports an order-3
 commutator witness moving a designated point.
+
+`factorize` checks Q = P∘R on the level's tables, not on elements. With
+f_atoms[v][i] Q's power on atom T^i(B_v), perms[v] the permutation of
+tower v and M = {(v, w) : T^{h_v}(B_v) ∩ B_w nonempty}:
+
+- off the active bands, f_atoms[v][i] == perms[v][i] - i;
+- on U-band a (exponent +1), f_atoms[v][h_v-1-a] ==
+  h_w + perms[w][h_w-1-a] - (h_w-1-a) for each (v, w) in M;
+- on D-band b (exponent -1), f_atoms[w][b] == perms[v][b] - b - h_v
+  for each (v, w) in M.
+
+These cells partition X and both sides are constant on each, so the
+check is exact. Composing `PermutationForm.to_element()` with
+`RotationForm.to_element()` stays as the independent oracle in the tests
+and in `selftest`.
 """
 
 from __future__ import annotations
@@ -199,6 +214,21 @@ def is_n_rotation(s: GroupElement, xi: KRPartition, r_max: int | None = None):
     return form
 
 
+def _atom_values(q_elem: GroupElement, xi: KRPartition):
+    """Q's power on each atom, tower by tower, or None at the first atom
+    where it is not constant."""
+    f_atoms = []
+    for row in xi.cocycle_rows(q_elem):
+        f_row = []
+        for vals in row:
+            if len(vals) != 1:
+                return None
+            (f,) = vals
+            f_row.append(f)
+        f_atoms.append(f_row)
+    return f_atoms
+
+
 def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
     """Cocycle tables for one level, or None when the level is invalid.
 
@@ -212,15 +242,9 @@ def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
     m = xi.band
     if q > m:
         return None
-    f_atoms = []
-    for row in xi.cocycle_rows(q_elem):
-        f_row = []
-        for vals in row:
-            if len(vals) != 1:
-                return None
-            (f,) = vals
-            f_row.append(f)
-        f_atoms.append(f_row)
+    f_atoms = _atom_values(q_elem, xi)
+    if f_atoms is None:
+        return None
     f_bands = {}
     for i in range(-m - 1, m + 1):
         vals = set()
@@ -249,8 +273,8 @@ def factorize(
     """Split Q = P∘R over the anchored tower sequence.
 
     Auto mode returns the smallest valid level; a fixed level below the
-    threshold is a precondition error. The composed factors are compared
-    with Q exactly before returning.
+    threshold is a precondition error. Q = P∘R is checked exactly on the
+    level's tables before returning.
     """
     key = (q_elem, level, anchor)
     hit = _FACT_CACHE.get(key)
@@ -281,31 +305,77 @@ def factorize(
     p_form = PermutationForm(xi, tuple(perms))
     r_form = RotationForm(xi, s_u, s_d)
     fac = Factorization(q_elem, n, n0, p_form, r_form)
-    _check_factorization(fac, f_bands)
+    _check_factorization(fac, f_atoms)
     _FACT_CACHE[key] = fac
     return fac
 
 
-def _check_factorization(fac: Factorization, f_bands: dict) -> None:
+def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> None:
+    """Exact check of Q = P∘R and of the form's postconditions, on the level's tables.
+
+    f_atoms[v][i] is Q's power on atom T^i(B_v), read from Q when not
+    given; R = id off its bands and is T^{h_w} or T^{-h_v} on them, so
+    on each cell both sides are one power:
+
+    - off the active bands, f_atoms[v][i] == perms[v][i] - i;
+    - on U-band a with exponent +1, f_atoms[v][h_v-1-a] ==
+      h_w + perms[w][h_w-1-a] - (h_w-1-a) for (v, w) in M;
+    - on D-band b with exponent -1, f_atoms[w][b] ==
+      perms[v][b] - b - h_v for (v, w) in M;
+
+    where M = {(v, w) : T^{h_v}(B_v) ∩ B_w nonempty} is
+    `KRPartition.successors`. The cells partition X, so this is exact;
+    powers are compared as integers, since a check mod h_v would accept
+    an atom that wraps once round its tower. Any other exponent is
+    refused.
+    """
     xi = fac.xi
-    m = xi.band
-    if not equals(compose(fac.permutation.to_element(), fac.rotation.to_element()), fac.element):
-        raise VerificationError("P∘R does not reproduce Q")
-    if fac.rotation.rotation_number() > 1:
-        raise VerificationError("rotation number exceeds 1")
-    for ss in fac.rotation.supportive_sets():
-        if any(i >= fac.n0 for i in ss):
-            raise VerificationError("supportive set outside [0, n0)")
-    for v, (b, h) in enumerate(xi.towers):
-        pv = fac.permutation.perms[v]
-        for i in range(-m, m + 1):
-            lvl = i if i >= 0 else h + i
-            if (pv[lvl] - (i + f_bands[i])) % h != 0:
-                raise VerificationError("band permutation disagrees across towers")
+    heights = xi.heights()
+    perms = fac.permutation.perms
+    if f_atoms is None:
+        f_atoms = _atom_values(fac.element, xi)
+        if f_atoms is None:
+            raise VerificationError("Q's cocycle is not constant on the atoms")
+    if any(sorted(pv) != list(range(h)) for pv, h in zip(perms, heights)):
+        raise VerificationError("P is not a within-tower permutation")
+    up = dict(fac.rotation.u_levels)
+    down = dict(fac.rotation.d_levels)
+    if len(up) != len(fac.rotation.u_levels) or len(down) != len(fac.rotation.d_levels):
+        raise VerificationError("a band appears twice in the rotation")
+    if any(e != 1 for e in up.values()) or any(e != -1 for e in down.values()):
+        raise VerificationError("rotation exponent is not +1 on a U band or -1 on a D band")
+    if any(not 0 <= i < fac.n0 for i in (*up, *down)):
+        raise VerificationError("supportive set outside [0, n0)")
+    if any(2 * i >= min(heights) for i in (*up, *down)):
+        raise VerificationError("a rotation band exceeds the shortest tower")
+    if any(h - 1 - a in down for a in up for h in heights):
+        raise VerificationError("a U band and a D band share an atom")
+    for v, h in enumerate(heights):
+        fv, pv = f_atoms[v], perms[v]
         for i in range(h):
+            if h - 1 - i not in up and i not in down and fv[i] != pv[i] - i:
+                raise VerificationError(f"P∘R does not reproduce Q on atom ({v}, {i})")
             d = abs(pv[i] - i)
             if min(d, h - d) > fac.n0:
                 raise VerificationError("displacement exceeds n0")
+    for v, succ in enumerate(xi.successors()):
+        hv = heights[v]
+        for w in succ:
+            hw = heights[w]
+            for a in up:
+                if f_atoms[v][hv - 1 - a] != hw + perms[w][hw - 1 - a] - (hw - 1 - a):
+                    raise VerificationError(f"P∘R does not reproduce Q on U band {a}")
+            for b in down:
+                if f_atoms[w][b] != perms[v][b] - b - hv:
+                    raise VerificationError(f"P∘R does not reproduce Q on D band {b}")
+    for i in range(-xi.band, xi.band + 1):
+        if len({_signed_residue(pv[i % h] - i, h) for pv, h in zip(perms, heights)}) != 1:
+            raise VerificationError("band permutation disagrees across towers")
+
+
+def _signed_residue(r: int, h: int) -> int:
+    r %= h
+    return r if 2 * r <= h else r - h
 
 
 def order_exceeds(s: GroupElement, bound: int, z: PointRep) -> bool:
@@ -339,20 +409,28 @@ def rotation_escapes(fac: Factorization, bound: int, x: PointRep | None = None) 
     return order_exceeds(fac.rotation.to_element(), bound, z)
 
 
+def _crossings(q_elem: GroupElement, x: PointRep) -> tuple[list[int], list[int]]:
+    """Orbit offsets of x that Q moves across the anchor, in one scan.
+
+    n + f(T^n x) is read once for each n in [-q, q); the first list holds
+    the n < 0 that land at or past x, the second the n >= 0 that land
+    before it.
+    """
+    q = cocycle_bound(q_elem)
+    i_minus, i_plus = [], []
+    for n in range(-q, q):
+        lands = n + cocycle_at(q_elem, x.shifted(n))
+        if n < 0 <= lands:
+            i_minus.append(n)
+        elif lands < 0 <= n:
+            i_plus.append(n)
+    return i_minus, i_plus
+
+
 def orbit_counts(q_elem: GroupElement, x: PointRep) -> tuple[int, int]:
     """Orbit crossing counts (a, b) of Q past the point x."""
-    q = cocycle_bound(q_elem)
-    a = sum(
-        1
-        for n in range(-q, 0)
-        if n + cocycle_at(q_elem, x.shifted(n)) >= 0
-    )
-    b = sum(
-        1
-        for n in range(0, q)
-        if n + cocycle_at(q_elem, x.shifted(n)) < 0
-    )
-    return a, b
+    i_minus, i_plus = _crossings(q_elem, x)
+    return len(i_minus), len(i_plus)
 
 
 def index(q_elem: GroupElement, x: PointRep | None = None) -> int:
@@ -406,12 +484,10 @@ def kernel_decompose(
         raise PreconditionError(
             "cannot certify the two anchor orbits are distinct; pass assume_distinct"
         )
-    a, b = orbit_counts(q_elem, x)
-    if a != b:
-        raise PreconditionError(f"index is {a - b}, decomposition needs 0")
+    i_minus, i_plus = _crossings(q_elem, x)
+    if len(i_minus) != len(i_plus):
+        raise PreconditionError(f"index is {len(i_minus) - len(i_plus)}, decomposition needs 0")
     q = cocycle_bound(q_elem)
-    i_minus = [n for n in range(-q, 0) if n + cocycle_at(q_elem, x.shifted(n)) >= 0]
-    i_plus = [n for n in range(0, q) if n + cocycle_at(q_elem, x.shifted(n)) < 0]
     if not i_minus:
         # no crossings: Q already stabilizes the forward orbit of x
         return q_elem, identity(spec)

@@ -129,10 +129,6 @@ def commutator(s1: GroupElement, s2: GroupElement) -> GroupElement:
     return compose(compose(s1, s2), compose(invert(s1), invert(s2)))
 
 
-def conjugate(s: GroupElement, by: GroupElement) -> GroupElement:
-    return compose(compose(by, s), invert(by))
-
-
 def apply(s: GroupElement, p: PointRep) -> PointRep:
     """Image of a point; exact via the piece containing it."""
     for n, c in s.pieces:

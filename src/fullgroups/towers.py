@@ -78,6 +78,7 @@ class KRPartition:
 
     _atoms: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
     _masks: list = field(default_factory=list, hash=False, compare=False, repr=False)
+    _succ: list = field(default_factory=list, hash=False, compare=False, repr=False)
 
     def heights(self) -> list[int]:
         return [h for _, h in self.towers]
@@ -125,6 +126,20 @@ class KRPartition:
             if size != own:
                 row = (_expand_words(spec, a, win, size) for a in row)
             yield ({n for n, m in pieces if m & a} for a in row)
+
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per tower v, the towers w with T^{h_v}(B_v) ∩ B_w nonempty, built once.
+
+        T maps the tops onto the bases, so the pieces B_v ∩ T^{-h_v}(B_w)
+        partition B_v over its successors w, and B_w ∩ T^{h_v}(B_v)
+        partition B_w over its predecessors v.
+        """
+        if not self._succ:
+            self._succ.append(tuple(
+                tuple(w for w, (bw, _) in enumerate(self.towers) if not b.translate(h).disjoint(bw))
+                for b, h in self.towers
+            ))
+        return self._succ[0]
 
     def iter_atoms(self):
         for v, (b, h) in enumerate(self.towers):

@@ -1,0 +1,175 @@
+"""The level-table check of Q = P∘R against the element oracle.
+
+`canon._check_factorization` verifies a factorization on the level's
+cocycle table; the oracle rebuilds P and R as elements, composes them and
+compares the result with Q. On the five-system matrix both accept what
+`factorize` returns, and both refuse each mutation below:
+
+- two entries of one tower permutation swapped;
+- a U-band exponent flipped to -1;
+- a supportive level dropped, or moved by one;
+- Q's power on one off-band atom changed by +-h_v. This needs a level of
+  one tower, as on the odometers: there T^{h_v} maps each atom onto
+  itself, so the mutated Q is still an element, and its permutation
+  reduced mod h_v is P's.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fullgroups.canon import _check_factorization, factorize
+from fullgroups.errors import PreconditionError, VerificationError
+from fullgroups.group import compose, equals, make_element, shift
+from fullgroups.sampling import random_products
+from fullgroups.systems import make_system
+
+SYSTEMS = {
+    "odometer-2": make_system({"kind": "odometer", "bases": [2]}),
+    "odometer-2-3": make_system({"kind": "odometer", "bases": [2, 3]}),
+    "fibonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}}),
+    "thue-morse": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}}),
+    "tribonacci": make_system(
+        {"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}}
+    ),
+}
+# Products stay short where deep tower levels take seconds to build.
+MAX_LEN = {"thue-morse": 2, "tribonacci": 3}
+
+
+def table_accepts(fac) -> bool:
+    try:
+        _check_factorization(fac)
+    except VerificationError:
+        return False
+    return True
+
+
+def oracle_accepts(fac) -> bool:
+    try:
+        p, r = fac.permutation.to_element(), fac.rotation.to_element()
+    except PreconditionError:
+        return False  # a band the band maps do not reach
+    return equals(compose(p, r), fac.element)
+
+
+def _with_levels(fac, side, edit):
+    levels = list(getattr(fac.rotation, side))
+    edit(levels)
+    rotation = dataclasses.replace(fac.rotation, **{side: tuple(levels)})
+    return dataclasses.replace(fac, rotation=rotation)
+
+
+def _supportive(fac):
+    return [(side, k) for side in ("u_levels", "d_levels")
+            for k in range(len(getattr(fac.rotation, side)))]
+
+
+def swapped_entries(fac, pick):
+    perms = fac.permutation.perms
+    v = pick(range(len(perms)))
+    i = pick(range(len(perms[v])))
+    j = pick([j for j in range(len(perms[v])) if j != i])
+    pv = list(perms[v])
+    pv[i], pv[j] = pv[j], pv[i]
+    new = perms[:v] + (tuple(pv),) + perms[v + 1:]
+    return dataclasses.replace(
+        fac, permutation=dataclasses.replace(fac.permutation, perms=new)
+    )
+
+
+def flipped_u_exponent(fac, pick):
+    if not fac.rotation.u_levels:
+        return None
+    k = pick(range(len(fac.rotation.u_levels)))
+
+    def edit(levels):
+        levels[k] = (levels[k][0], -1)
+
+    return _with_levels(fac, "u_levels", edit)
+
+
+def dropped_level(fac, pick):
+    levels = _supportive(fac)
+    if not levels:
+        return None
+    side, k = pick(levels)
+    return _with_levels(fac, side, lambda levels: levels.pop(k))
+
+
+def moved_level(fac, pick):
+    levels = _supportive(fac)
+    if not levels:
+        return None
+    side, k = pick(levels)
+    i, e = getattr(fac.rotation, side)[k]
+    step = pick([1, -1] if i > 0 else [1])
+
+    def edit(levels):
+        levels[k] = (i + step, e)
+
+    return _with_levels(fac, side, edit)
+
+
+def wrapped_atom(fac, pick):
+    """Q∘W, where W is T^{+-h} on one off-band atom and the identity off it."""
+    xi = fac.xi
+    if len(xi.towers) != 1:
+        return None
+    (h,) = xi.heights()
+    up = {h - 1 - a for a, _ in fac.rotation.u_levels}
+    down = {b for b, _ in fac.rotation.d_levels}
+    i = pick([i for i in range(h) if i not in up | down])
+    atom = xi.atom(0, i)
+    w = make_element(xi.spec, [(atom, pick([h, -h])), (atom.complement(), 0)])
+    return dataclasses.replace(fac, element=compose(fac.element, w))
+
+
+MUTATIONS = (swapped_entries, flipped_u_exponent, dropped_level, moved_level, wrapped_atom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 10**6), st.data())
+def test_table_check_and_oracle_agree(name, seed, data):
+    spec = SYSTEMS[name]
+    (s,) = random_products(spec, 1, seed, max_len=MAX_LEN.get(name, 4))
+    fac = factorize(s)
+    assert table_accepts(fac) and oracle_accepts(fac)
+
+    def pick(seq):
+        return data.draw(st.sampled_from(list(seq)))
+
+    for mutate in MUTATIONS:
+        bad = mutate(fac, pick)
+        if bad is not None:
+            assert not table_accepts(bad), mutate.__name__
+            assert not oracle_accepts(bad), mutate.__name__
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("power", [2, -2])
+def test_each_mutation_is_refused_on_a_shift(power, name, mutate):
+    spec = SYSTEMS[name]
+    fac = factorize(shift(spec, power))
+    bad = mutate(fac, lambda seq: list(seq)[-1])
+    if bad is None:
+        # no U band under T^-2, and no single-tower level on a subshift
+        assert (mutate is flipped_u_exponent and power < 0) or (
+            mutate is wrapped_atom and len(fac.xi.towers) > 1
+        )
+        return
+    assert not table_accepts(bad)
+    assert not oracle_accepts(bad)
+
+
+@pytest.mark.parametrize("name", ["odometer-2", "odometer-2-3"])
+def test_a_wrapped_atom_keeps_the_permutation_mod_h(name):
+    fac = factorize(shift(SYSTEMS[name], 2))
+    bad = wrapped_atom(fac, lambda seq: list(seq)[0])
+    (h,) = fac.xi.heights()
+    (row,) = fac.xi.cocycle_rows(bad.element)
+    wrapped = [(i + f) % h for i, (f,) in enumerate(row)]
+    assert tuple(wrapped) == fac.permutation.perms[0]
+    assert not equals(bad.element, fac.element)
