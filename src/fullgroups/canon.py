@@ -166,30 +166,47 @@ def t_d(xi: KRPartition, j: int) -> GroupElement:
     return _build(xi.spec, raw, validate=False)
 
 
-def is_n_permutation(s: GroupElement, xi: KRPartition):
-    """PermutationForm when s permutes atoms within each tower, else Refusal."""
-    perms = []
-    for v, ((b, h), row) in enumerate(zip(xi.towers, xi.cocycle_rows(s))):
-        targets = []
+def _atom_values(q_elem: GroupElement, xi: KRPartition):
+    """Q's power on each atom, tower by tower, or the (v, i) of the first
+    atom T^i(B_v) where it is not constant."""
+    f_atoms = []
+    for v, row in enumerate(xi.cocycle_rows(q_elem)):
+        f_atoms.append([])
         for i, vals in enumerate(row):
             if len(vals) != 1:
-                return Refusal("cocycle not constant on an atom", xi.atom(v, i))
-            (f,) = vals
+                return v, i
+            f_atoms[v].extend(vals)  # the one power on this atom
+    return f_atoms
+
+
+def _tower_perm(f_row, h: int) -> tuple | None:
+    """The level map i -> (i + f_row[i]) mod h of a tower of height h, or
+    None when two levels collide."""
+    targets = tuple((i + f) % h for i, f in enumerate(f_row))
+    return targets if len(targets) == h and len(set(targets)) == h else None
+
+
+def is_n_permutation(s: GroupElement, xi: KRPartition):
+    """PermutationForm when s permutes atoms within each tower, else Refusal."""
+    f_atoms = _atom_values(s, xi)
+    if isinstance(f_atoms, tuple):
+        return Refusal("cocycle not constant on an atom", xi.atom(*f_atoms))
+    perms = []
+    for v, ((b, h), f_row) in enumerate(zip(xi.towers, f_atoms)):
+        for i, f in enumerate(f_row):
             if not 0 <= i + f < h:
                 return Refusal("an atom leaves its tower", xi.atom(v, i))
-            targets.append(i + f)
-        if sorted(targets) != list(range(h)):
+        perms.append(_tower_perm(f_row, h))
+        if perms[-1] is None:
             return Refusal("levels collide inside a tower", b)
-        perms.append(tuple(targets))
     return PermutationForm(xi, tuple(perms))
 
 
-def is_n_rotation(s: GroupElement, xi: KRPartition, r_max: int | None = None):
+def is_n_rotation(s: GroupElement, xi: KRPartition):
     """RotationForm when s is a product of band-induced-map powers, else Refusal."""
     min_h = min(xi.heights())
     half = min_h // 2
-    if r_max is None:
-        r_max = cocycle_bound(s) // min_h + 1
+    r_max = cocycle_bound(s) // min_h + 1
     supp = support(s)
     u_levels = []
     d_levels = []
@@ -214,21 +231,6 @@ def is_n_rotation(s: GroupElement, xi: KRPartition, r_max: int | None = None):
     return form
 
 
-def _atom_values(q_elem: GroupElement, xi: KRPartition):
-    """Q's power on each atom, tower by tower, or None at the first atom
-    where it is not constant."""
-    f_atoms = []
-    for row in xi.cocycle_rows(q_elem):
-        f_row = []
-        for vals in row:
-            if len(vals) != 1:
-                return None
-            (f,) = vals
-            f_row.append(f)
-        f_atoms.append(f_row)
-    return f_atoms
-
-
 def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
     """Cocycle tables for one level, or None when the level is invalid.
 
@@ -243,22 +245,17 @@ def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
     if q > m:
         return None
     f_atoms = _atom_values(q_elem, xi)
-    if f_atoms is None:
+    if isinstance(f_atoms, tuple):
         return None
     f_bands = {}
     for i in range(-m - 1, m + 1):
-        vals = set()
-        for v, (b, h) in enumerate(xi.towers):
-            vals.add(f_atoms[v][i if i >= 0 else h + i])
+        vals = {f_row[i] for f_row in f_atoms}
         if len(vals) != 1:
             return None
         f_bands[i] = vals.pop()
-    perms = []
-    for v, (b, h) in enumerate(xi.towers):
-        targets = [(i + f_atoms[v][i]) % h for i in range(h)]
-        if sorted(targets) != list(range(h)):
-            return None
-        perms.append(tuple(targets))
+    perms = [_tower_perm(f_row, h) for f_row, h in zip(f_atoms, xi.heights())]
+    if None in perms:
+        return None
     return f_atoms, f_bands, perms
 
 
@@ -334,10 +331,11 @@ def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> Non
     perms = fac.permutation.perms
     if f_atoms is None:
         f_atoms = _atom_values(fac.element, xi)
-        if f_atoms is None:
-            raise VerificationError("Q's cocycle is not constant on the atoms")
-    if any(sorted(pv) != list(range(h)) for pv, h in zip(perms, heights)):
-        raise VerificationError("P is not a within-tower permutation")
+        if isinstance(f_atoms, tuple):
+            raise VerificationError(f"Q's cocycle is not constant on atom {f_atoms}")
+    for pv, h in zip(perms, heights):
+        if _tower_perm([p - i for i, p in enumerate(pv)], h) != tuple(pv):
+            raise VerificationError("P is not a within-tower permutation")
     up = dict(fac.rotation.u_levels)
     down = dict(fac.rotation.d_levels)
     if len(up) != len(fac.rotation.u_levels) or len(down) != len(fac.rotation.d_levels):
@@ -466,7 +464,6 @@ def kernel_decompose(
     x: PointRep | None = None,
     y: PointRep | None = None,
     assume_distinct: bool = False,
-    depth_budget: int = _DEPTH_CAP,
 ) -> tuple[GroupElement, GroupElement]:
     """Split an index-0 element as Q = P1∘P2 with P1, P2 in the stabilizers
     of the forward orbits of x and y.
@@ -482,7 +479,8 @@ def kernel_decompose(
         y, _ = base_point(spec, "alternate")
     if not x.certified_apart(y) and not assume_distinct:
         raise PreconditionError(
-            "cannot certify the two anchor orbits are distinct; pass assume_distinct"
+            "cannot certify the two anchor orbits are distinct: subshift points carry no "
+            "orbit certificate, and two odometer points need exactly one eventually constant"
         )
     i_minus, i_plus = _crossings(q_elem, x)
     if len(i_minus) != len(i_plus):
@@ -493,7 +491,7 @@ def kernel_decompose(
         return q_elem, identity(spec)
     pairs = list(zip(i_minus, i_plus))
     p_floor = -min(i_minus)
-    c, p = _find_swap_site(spec, x, y, q, p_floor, depth_budget)
+    c, p = _find_swap_site(spec, x, y, q, p_floor)
     raw = []
     for n_minus, n_plus in pairs:
         d = n_plus - n_minus
@@ -511,10 +509,10 @@ def kernel_decompose(
     return p1, p2
 
 
-def _find_swap_site(spec, x, y, q: int, p_floor: int, depth_budget: int):
+def _find_swap_site(spec, x, y, q: int, p_floor: int):
     """Smallest central cylinder C at x and shift p making all swap blocks
     pairwise disjoint and keeping y clear of them."""
-    for depth in range(1, depth_budget + 1):
+    for depth in range(1, _DEPTH_CAP + 1):
         c = central_cylinder(spec, x, depth)
         for p in range(max(p_floor, 1), 4 * q + 1):
             yset = c.union(c.translate(p))
@@ -527,7 +525,7 @@ def _find_swap_site(spec, x, y, q: int, p_floor: int, depth_budget: int):
             ):
                 continue
             return c, p
-    raise PreconditionError(f"swap-site search exhausted depth_budget = {depth_budget}; raise it")
+    raise PreconditionError(f"no swap site found within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 def separation_parts(

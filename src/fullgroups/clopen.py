@@ -238,24 +238,3 @@ def check_partition(spec: SystemSpec, cells) -> None:
         raise NotPartitionError("cells leave a gap")
     if sum(m.bit_count() for m in expanded) != whole.bit_count():
         raise NotPartitionError("cells overlap")
-
-
-def refine_common(spec: SystemSpec, partitions) -> list[ClopenSet]:
-    """Common refinement of several partitions of the space.
-
-    Each input family is validated as a partition first. The output cells
-    are exactly the nonempty intersections of one cell from each family,
-    in lexicographic order of their cell indices.
-    """
-    partitions = [list(p) for p in partitions]
-    if not partitions:
-        raise PreconditionError("need at least one partition")
-    for p in partitions:
-        check_partition(spec, p)
-    size = max(spec.ladder_size(c.lo, c.hi) for p in partitions for c in p)
-    lo, hi = spec.ladder_window(size)
-    cells = [spec.full_mask(hi - lo + 1)]
-    for p in partitions:
-        masks = [_expand_words(spec, c.mask, (c.lo, c.hi), size) for c in p]
-        cells = [m & c for m in cells for c in masks if m & c]
-    return [ClopenSet._canonical(spec, m, (lo, hi)) for m in cells]

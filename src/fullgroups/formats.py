@@ -102,6 +102,8 @@ def parse_towers(text: str, spec: SystemSpec) -> KRPartition:
             h = int(htext)
         except ValueError:
             raise ParseError(f"bad height in {ln!r}")
+        if h < 1:
+            raise ParseError(f"tower height below 1 in {ln!r}")
         towers.append((parse_clopen(base_text, spec), h))
     if not towers:
         raise ParseError("no tower lines found")
@@ -136,8 +138,13 @@ def parse_factorization(text: str):
     d_levels = []
     for ln in lines[1:]:
         if ln.startswith("tower "):
-            _, _, rest = ln.partition(": ")
-            perms.append(tuple(int(t) for t in rest.split()))
+            _, sep, rest = ln.partition(": ")
+            if not sep:
+                raise ParseError(f"expected 'tower <v>: <permutation>', got {ln!r}")
+            try:
+                perms.append(tuple(int(t) for t in rest.split()))
+            except ValueError:
+                raise ParseError(f"bad permutation in {ln!r}")
         elif ln.startswith(("U(", "D(")):
             band, _, etext = ln.partition(")^")
             try:

@@ -285,24 +285,7 @@ def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
     return state["gens"][k - 1]
 
 
-# -- cocycle evaluation helpers used by the canonical-form machinery --------
-
-
-def cocycle_table(s: GroupElement) -> tuple[tuple[int, int], dict]:
-    """(window, word -> power) over the hull ladder window of all pieces."""
-    spec = s.spec
-    size = max(spec.ladder_size(c.lo, c.hi) for _, c in s.pieces)
-    win = spec.ladder_window(size)
-    table: dict = {}
-    for n, c in s.pieces:
-        for w in spec.decode(_expand_words(spec, c.mask, (c.lo, c.hi), size), win[1] - win[0] + 1):
-            table[w] = n
-    return win, table
-
-
-def cocycle_values_on(s: GroupElement, a: ClopenSet) -> set[int]:
-    """Set of cocycle values f_S takes on the clopen set A."""
-    return {n for n, c in s.pieces if not c.disjoint(a)}
+# -- agreement on a set, used by the canonical-form machinery --------------
 
 
 def agree_on(s1: GroupElement, s2: GroupElement, a: ClopenSet) -> bool:

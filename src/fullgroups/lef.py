@@ -16,7 +16,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .canon import _LEVEL_CAP, PermutationForm, Refusal, factorize, is_n_permutation, order_exceeds
+from .canon import (
+    _LEVEL_CAP, PermutationForm, Refusal, _atom_values, _signed_residue, _tower_perm,
+    factorize, is_n_permutation, order_exceeds,
+)
 from .clopen import central_cylinder
 from .errors import PreconditionError, VerificationError
 from .group import (
@@ -113,17 +116,13 @@ class LEFWitness:
         raise PreconditionError("element outside the witnessed set")
 
 
-def _signed(j: int, h: int) -> int:
-    return j if 2 * j <= h else j - h
-
-
 def _inverse_agreement(desc: FinitePermGroupDesc, a: HElement, d: int) -> bool:
     # every tower's inverse permutation must send each signed band
     # position near the boundary to one common signed position
     inv = desc.invert(a)
     for i in range(-d, d + 1):
         vals = {
-            _signed(pv[i % h], h) for pv, h in zip(inv, desc.heights)
+            _signed_residue(pv[i % h], h) for pv, h in zip(inv, desc.heights)
         }
         if len(vals) != 1:
             return False
@@ -284,18 +283,11 @@ def structure_decompose(s: GroupElement, xi: KRPartition):
     """Unique split of a level-compatible element into a level permutation
     and a kernel exponent tuple (applied kernel first)."""
     m = xi.heights()[0]
-    perm = []
-    exps = []
-    for i, vals in enumerate(next(xi.cocycle_rows(s))):
-        if len(vals) != 1:
-            raise PreconditionError("element is not compatible with the partition")
-        (f,) = vals
-        target = (i + f) % m
-        perm.append(target)
-        exps.append((i + f - target) // m)
-    if sorted(perm) != list(range(m)):
+    f_atoms = _atom_values(s, xi)
+    perm = None if isinstance(f_atoms, tuple) else _tower_perm(f_atoms[0], m)
+    if perm is None:
         raise PreconditionError("element is not compatible with the partition")
-    return tuple(perm), tuple(exps)
+    return perm, tuple((i + f - perm[i]) // m for i, f in enumerate(f_atoms[0]))
 
 
 def odometer_structure(

@@ -199,12 +199,6 @@ class OdometerSpec:
         self.mask_width(length)
         return frozenset(self.digit_words(0, length))
 
-    def recurrence_bound(self, word: Word) -> int:
-        # the first return time to a depth-d cylinder is the block size
-        if not self.word_admissible(word):
-            raise PreconditionError(f"inadmissible digit word {word!r}")
-        return self.block_size(len(word))
-
     def base_point(self, which: str):
         if which == "primary":
             return OdometerPoint(self, (), (0,)), True
@@ -336,18 +330,6 @@ class SubstitutionSpec:
 
     def build_language(self, length: int) -> frozenset:
         return frozenset(tuple(w) for w in _subst_factors(self, length))
-
-    def recurrence_bound(self, word: Word) -> int:
-        # least R with `word` a factor of every admissible length-R word
-        # (exists by minimality)
-        if word not in language(self, len(word)):
-            raise PreconditionError(f"inadmissible word {word!r}")
-        w = "".join(word)
-        r = len(w)
-        while True:
-            if all(w in "".join(v) for v in language(self, r)):
-                return r
-            r += 1
 
     def base_point(self, which: str):
         seeds = list(itertools.islice(_fixed_point_seeds(self), 2))
@@ -494,11 +476,6 @@ def _fiber_table(spec: SubstitutionSpec, width: int, a: int, b: int) -> tuple[li
 def _bits(mask: int) -> list[int]:
     """Positions of the set bits of a mask, ascending."""
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
-
-
-def recurrence_bound(spec: SystemSpec, word: Word) -> int:
-    """A bound R such that every orbit meets the cylinder of `word` within R steps."""
-    return spec.recurrence_bound(word)
 
 
 # ---------------------------------------------------------------------------

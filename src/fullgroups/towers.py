@@ -2,10 +2,11 @@
 
 A KR partition over a base B splits B into return-time cells A_k and tiles
 the space with atoms T^i(A_k), 0 <= i < k. The tower sequence anchored at a
-point x0 uses shrinking central cylinders around x0 as bases, refines each
-level so it is compatible with the previous one and with all central
-cylinders of matching radius, and skips candidate levels whose heights or
-diameters miss the schedule (subsampling, with dense renumbering).
+point x0 uses shrinking central cylinders around x0 as bases and skips
+candidate levels whose heights or diameters miss the band half-width m_n = n.
+Subshift levels are refined to be compatible with the previous level's cells
+and all cylinders of matching radius; an odometer level, one tower of
+one-word atoms, already is, so it is not refined.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class KRPartition:
     spec: SystemSpec
     towers: tuple[tuple[ClopenSet, int], ...]
     index: int = 0  # level number within a sequence, 0 when standalone
-    band: int = 0  # schedule value m_n for that level
+    band: int = 0  # band half-width m_n = n for that level
 
     _atoms: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
     _masks: list = field(default_factory=list, hash=False, compare=False, repr=False)
@@ -209,16 +210,15 @@ def _diameter_radius(n: int) -> int:
 class TowerSequence:
     """Anchored sequence of KR partitions satisfying the five tower conditions.
 
-    Levels are numbered from 1; schedule(n) is the band half-width m_n
-    (default m_n = n). Candidate bases are central cylinders around the
-    anchor of growing size; candidates failing the height or diameter
-    condition are skipped and numbering stays dense.
+    Levels are numbered from 1, and level n has band half-width m_n = n.
+    Candidate bases are central cylinders around the anchor of growing
+    size; candidates failing the height or diameter condition are skipped
+    and numbering stays dense. Odometer levels are not refined.
     """
 
-    def __init__(self, spec: SystemSpec, anchor: PointRep, schedule=None):
+    def __init__(self, spec: SystemSpec, anchor: PointRep):
         self.spec = spec
         self.anchor = anchor
-        self.schedule = schedule or (lambda n: n)
         self._levels: list[KRPartition] = []
         self._sizes: list[int] = []
 
@@ -234,34 +234,27 @@ class TowerSequence:
 
     def _build_next(self) -> None:
         n = len(self._levels) + 1
-        m = self.schedule(n)
         rad = _diameter_radius(n)
-        size = max(self._sizes[-1] + 1 if self._sizes else 1, n)
+        size = self._sizes[-1] + 1 if self._sizes else 1
         if self.spec.kind != "odometer":
-            # keep the base window ahead of the band schedule so deeper
-            # levels determine every cocycle within the bands
-            size = max(size, 2 * n, rad + m + 1)
+            # keep the base window ahead of the bands so deeper levels
+            # determine every cocycle within them
+            size = max(size, 2 * n, rad + n + 1)
         while True:
             base = central_cylinder(self.spec, self.anchor, size)
-            xi = kr_from_set(self.spec, base, index=n, band=m)
-            if min(xi.heights()) < 2 * m + 2:
-                size += 1
-                continue
-            if not all(
-                base.translate(i).fits_in_radius(rad) for i in range(-m - 1, m + 1)
+            xi = kr_from_set(self.spec, base, index=n, band=n)
+            if min(xi.heights()) >= 2 * n + 2 and all(
+                base.translate(i).fits_in_radius(rad) for i in range(-n - 1, n + 1)
             ):
-                size += 1
-                continue
-            break
-        if self._levels:
-            prev = self._levels[-1]
-            xi = refine_against(xi, prev.base())
-            for cell, _ in prev.towers:
-                xi = refine_against(xi, cell)
+                break
+            size += 1
+        # an odometer base cell that is one depth-`size` word has one-word
+        # atoms, each inside or disjoint from every set on a window of
+        # depth <= size: the previous cells and the length-n cylinders
         single_word_cells = all(cell.word_count() == 1 for cell, _ in xi.towers)
-        if not (self.spec.kind == "odometer" and single_word_cells and size >= n):
-            # depth-size single-cylinder atoms already determine any
-            # length-n initial block, so the scan is only needed otherwise
+        if not (self.spec.kind == "odometer" and single_word_cells):
+            for cell, _ in self._levels[-1].towers if self._levels else ():
+                xi = refine_against(xi, cell)
             lo, hi = self.spec.ladder_window(n)
             for w in sorted(language(self.spec, hi - lo + 1)):
                 c = cylinder(self.spec, w, lo)
@@ -274,11 +267,11 @@ class TowerSequence:
 _SEQ_CACHE: dict = {}
 
 
-def tower_sequence(spec: SystemSpec, anchor: PointRep | None = None, schedule=None) -> TowerSequence:
+def tower_sequence(spec: SystemSpec, anchor: PointRep | None = None) -> TowerSequence:
     """Shared tower sequence for a system and anchor (primary point by default)."""
     if anchor is None:
         anchor, _ = base_point(spec, "primary")
-    key = (spec, anchor, None if schedule is None else id(schedule))
+    key = (spec, anchor)
     if key not in _SEQ_CACHE:
-        _SEQ_CACHE[key] = TowerSequence(spec, anchor, schedule)
+        _SEQ_CACHE[key] = TowerSequence(spec, anchor)
     return _SEQ_CACHE[key]

@@ -133,6 +133,18 @@ def test_decompose_rejects_nonzero_index(ws):
     assert run("decompose", "T") == 2
 
 
+def test_decompose_on_a_subshift_names_the_missing_certificate(ws, capsys):
+    tmp, run = ws
+    assert run("element", "make", "--system", "fib", "--out", "e",
+               "--piece", "FULL -> 0") == 0
+    capsys.readouterr()
+    assert run("decompose", "e") == 2
+    err = capsys.readouterr().err
+    assert "subshift points carry no orbit certificate" in err
+    assert "assume_distinct" not in err
+    assert not (tmp / "e.p1.elem").exists()
+
+
 def test_separation_witness_command(ws, capsys):
     tmp, run = ws
     assert run("witness", "separation", "--system", "odo2", "--set", "0@0",

@@ -10,7 +10,6 @@ from fullgroups.clopen import (
     cylinder,
     empty,
     full,
-    refine_common,
     union_all,
 )
 from fullgroups.errors import NotPartitionError, PreconditionError
@@ -126,19 +125,6 @@ def test_check_partition():
         check_partition(O2, [cylinder(O2, (0,)), cylinder(O2, (0, 1))])
     with pytest.raises(NotPartitionError):
         check_partition(O2, [cylinder(O2, (0,)), full(O2)])
-
-
-def test_refine_common():
-    parts = refine_common(
-        FIB,
-        [
-            [cylinder(FIB, "a", 0), cylinder(FIB, "b", 0)],
-            [cylinder(FIB, "a", 1), cylinder(FIB, "b", 1)],
-        ],
-    )
-    check_partition(FIB, parts)
-    # aa, ab, ba are the admissible combinations
-    assert len(parts) == 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,12 @@
 """Round-trips for every emitted text artifact."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullgroups.canon import factorize
+from fullgroups.canon import PermutationForm, RotationForm, factorize
 from fullgroups.clopen import cylinder, empty, full
 from fullgroups.errors import ParseError
 from fullgroups.formats import (
@@ -32,9 +33,9 @@ from fullgroups.group import (
     shift,
 )
 from fullgroups.lef import lef_map
-from fullgroups.sampling import random_clopen
+from fullgroups.sampling import random_clopen, random_products
 from fullgroups.systems import make_system
-from fullgroups.towers import tower_sequence
+from fullgroups.towers import kr_from_set, tower_sequence
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
@@ -132,6 +133,13 @@ def test_towers_round_trip():
         assert render_towers(back) == text
 
 
+def test_towers_refuse_heights_below_one():
+    text = render_towers(tower_sequence(ODO2).level(1))
+    for bad in ("0", "-3"):
+        with pytest.raises(ParseError):
+            parse_towers(text.replace("height=4", f"height={bad}"), ODO2)
+
+
 def test_factorization_report_round_trip():
     fac = factorize(shift(ODO2, 1))
     text = render_factorization(fac)
@@ -150,6 +158,14 @@ def test_factorization_report_inverse_shift():
     _, _, _, u_levels, d_levels = parse_factorization(text)
     assert u_levels == ()
     assert d_levels == ((0, -1),)
+
+
+def test_factorization_report_parse_errors():
+    head = "level n=1 n0=1\n"
+    with pytest.raises(ParseError):  # a non-integer permutation entry
+        parse_factorization(head + "tower 0: 1 x\n")
+    with pytest.raises(ParseError):  # no ': ' after the tower number
+        parse_factorization(head + "tower 0 1 0\n")
 
 
 def test_lef_witness_round_trip():
@@ -195,3 +211,74 @@ def test_system_config_parse_errors():
         parse_system_config("kind = odometer\nbases = a,b")
     with pytest.raises(ParseError):
         parse_system_config("kind = substitution\nalphabet = a,b")
+
+
+# -- byte-for-byte round trips on the five-system matrix --------------------
+
+# Products stay short where deep tower levels take seconds to build.
+MAX_LEN = {"thue-morse": 2, "tribonacci": 3}
+NAMES = {spec: name for name, spec in MATRIX.items()}
+
+
+@st.composite
+def products(draw):
+    name = draw(st.sampled_from(sorted(MATRIX)), label="system")
+    seed = draw(st.integers(0, 10**6), label="seed")
+    (s,) = random_products(MATRIX[name], 1, seed, max_len=MAX_LEN.get(name, 4))
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(MATRIX)), st.integers(0, 10**6), st.integers(1, 3), st.booleans())
+def test_towers_text_round_trip_fuzz(name, seed, level, from_set):
+    spec = MATRIX[name]
+    if from_set:
+        xi = kr_from_set(spec, random_clopen(spec, random.Random(seed), pieces=2, depth=3))
+    else:
+        xi = tower_sequence(spec).level(level)
+    text = render_towers(xi)
+    back = parse_towers(text, spec)
+    assert back.towers == xi.towers
+    assert render_towers(back) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(products())
+def test_element_text_round_trip_fuzz(s):
+    name = NAMES[s.spec]
+    text = render_element(s, name)
+    back_name, back = parse_element(text, MATRIX)
+    assert back_name == name
+    assert equals(back, s)
+    assert render_element(back, back_name) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(products())
+def test_factorization_text_round_trip_fuzz(s):
+    fac = factorize(s)
+    text = render_factorization(fac)
+    n, n0, perms, u_levels, d_levels = parse_factorization(text)
+    back = dataclasses.replace(
+        fac,
+        level=n,
+        n0=n0,
+        permutation=PermutationForm(fac.xi, perms),
+        rotation=RotationForm(fac.xi, u_levels, d_levels),
+    )
+    assert back == fac
+    assert render_factorization(back) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.sampled_from(sorted(MATRIX)).map(MATRIX.get),
+    st.lists(st.integers(2, 9), min_size=1, max_size=4).map(
+        lambda bases: make_system({"kind": "odometer", "bases": bases})
+    ),
+))
+def test_system_config_text_round_trip_fuzz(spec):
+    text = render_system_config(spec)
+    back = parse_system_config(text)
+    assert back == spec
+    assert render_system_config(back) == text

@@ -10,8 +10,6 @@ from fullgroups.group import (
     apply,
     cocycle_at,
     cocycle_bound,
-    cocycle_table,
-    cocycle_values_on,
     commutator,
     compose,
     disjoint_cylinder_block,
@@ -27,6 +25,7 @@ from fullgroups.group import (
     support,
 )
 from fullgroups.systems import base_point, make_system
+from oracles import cocycle_table, cocycle_values_on
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})

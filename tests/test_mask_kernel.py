@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from fullgroups.clopen import ClopenSet, cylinder, union_all
 from fullgroups.errors import ParseError, PreconditionError
 from fullgroups.formats import parse_clopen
-from fullgroups.group import cocycle_table, cocycle_values_on
 from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, language, make_system
+from oracles import cocycle_table, cocycle_values_on
 
 SYSTEMS = {
     "odometer-2": make_system({"kind": "odometer", "bases": [2]}),

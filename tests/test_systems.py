@@ -2,14 +2,13 @@ import dataclasses
 
 import pytest
 
-from fullgroups.errors import PreconditionError, SystemConfigError
+from fullgroups.errors import SystemConfigError
 from fullgroups.systems import (
     OdometerPoint,
     base_point,
     language,
     make_system,
     point_window,
-    recurrence_bound,
 )
 
 
@@ -146,20 +145,3 @@ def test_orbit_certificate():
     assert not prim.orbit_certificate()
     assert not prim.shifted(12).orbit_certificate()
     assert not prim.shifted(-9).orbit_certificate()
-
-
-def test_recurrence_bound():
-    spec = fibonacci()
-    r = recurrence_bound(spec, ("a",))
-    assert all("a" in "".join(w) for w in language(spec, r))
-    spec2 = odometer2()
-    assert recurrence_bound(spec2, (0, 0)) == 4
-    with pytest.raises(PreconditionError):
-        recurrence_bound(spec, ("b", "b"))
-
-
-def test_minimality_witness_small_words():
-    # every admissible short word recurs with a finite bound
-    spec = thue_morse()
-    for w in sorted(language(spec, 2)):
-        assert recurrence_bound(spec, w) >= 2

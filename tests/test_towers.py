@@ -3,7 +3,7 @@
 import pytest
 
 from fullgroups import towers
-from fullgroups.clopen import check_partition, cylinder, empty
+from fullgroups.clopen import central_cylinder, check_partition, cylinder, empty
 from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
     apply,
@@ -14,7 +14,7 @@ from fullgroups.group import (
     is_identity,
     support,
 )
-from fullgroups.systems import base_point, make_system
+from fullgroups.systems import base_point, language, make_system
 from fullgroups.towers import (
     first_return,
     induced,
@@ -176,6 +176,26 @@ def test_tower_sequence_refines_central_cylinders():
         for off in range(-2, 2):
             c = cylinder(FIB, (w,), off)
             assert xi.refines_set(c)
+
+
+@pytest.mark.parametrize("spec", [ODO2, ODO23], ids=["odometer-2", "odometer-2-3"])
+def test_odometer_levels_need_no_refinement(spec):
+    """The refinement skipped on odometers is a no-op: refining a level
+    against the previous cells and every length-n cylinder keeps its
+    towers, and the level is the one tower over the anchor's central
+    cylinder of the level's size."""
+    seq = tower_sequence(spec)
+    for n in range(1, 7):
+        xi = seq.level(n)
+        refined = xi
+        for cell, _ in seq.level(n - 1).towers if n > 1 else ():
+            refined = refine_against(refined, cell)
+        lo, hi = spec.ladder_window(n)
+        for w in sorted(language(spec, hi - lo + 1)):
+            refined = refine_against(refined, cylinder(spec, w, lo))
+        assert refined.towers == xi.towers
+        base = central_cylinder(spec, seq.anchor, seq._sizes[n - 1])
+        assert kr_from_set(spec, base, index=n, band=n) == xi
 
 
 def test_tower_sequence_cached():
