@@ -28,6 +28,7 @@ and in `selftest`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .clopen import ClopenSet, central_cylinder, union_all
 from .errors import PreconditionError, VerificationError
@@ -259,9 +260,12 @@ def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
     return f_atoms, f_bands, perms
 
 
-_FACT_CACHE: dict = {}
+# Keyed by caller input, so this is the one bounded cache: selftest leaves
+# about 360 entries and a factor-odometer trial at most 350 distinct elements.
+_FACT_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=_FACT_CACHE_SIZE)
 def factorize(
     q_elem: GroupElement,
     level: int | None = None,
@@ -273,10 +277,6 @@ def factorize(
     threshold is a precondition error. Q = P∘R is checked exactly on the
     level's tables before returning.
     """
-    key = (q_elem, level, anchor)
-    hit = _FACT_CACHE.get(key)
-    if hit is not None:
-        return hit
     spec = q_elem.spec
     seq = tower_sequence(spec, anchor)
     q = cocycle_bound(q_elem)
@@ -303,7 +303,6 @@ def factorize(
     r_form = RotationForm(xi, s_u, s_d)
     fac = Factorization(q_elem, n, n0, p_form, r_form)
     _check_factorization(fac, f_atoms)
-    _FACT_CACHE[key] = fac
     return fac
 
 
@@ -356,7 +355,7 @@ def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> Non
             d = abs(pv[i] - i)
             if min(d, h - d) > fac.n0:
                 raise VerificationError("displacement exceeds n0")
-    for v, succ in enumerate(xi.successors()):
+    for v, succ in enumerate(xi.successors):
         hv = heights[v]
         for w in succ:
             hw = heights[w]

@@ -209,8 +209,7 @@ def cmd_towers(ws: Workspace, args) -> int:
 
 def cmd_factorize(ws: Workspace, args) -> int:
     _, s = ws.load_element(args.element)
-    level = None if args.level == "auto" else int(args.level)
-    fac = factorize(s, level=level)
+    fac = factorize(s, level=args.level)
     print(render_factorization(fac), end="")
     return 0
 
@@ -303,7 +302,7 @@ def cmd_lef(ws: Workspace, args) -> int:
         raise PreconditionError("the element list is empty")
     named = [ws.load_element(n) for n in names]
     sys_name = named[0][0]
-    w = lef_map([s for _, s in named], level=None if args.level == "auto" else int(args.level))
+    w = lef_map([s for _, s in named], level=args.level)
     for s, _ in w.table:
         ws.save_element(element_hash(s), sys_name, s)
     path = ws.save_witness(args.out, w)
@@ -324,6 +323,16 @@ def cmd_structure(ws: Workspace, args) -> int:
 
 def cmd_selftest(ws: Workspace, args) -> int:
     return 0 if acceptance.run_all(args.seed) else 3
+
+
+def _level_arg(text: str) -> int | None:
+    """A --level value: "auto" (None, the smallest valid level) or an integer."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="permutation-rotation factorization report")
     p.add_argument("element")
-    p.add_argument("--level", default="auto")
+    p.add_argument("--level", type=_level_arg, default="auto")
     p.set_defaults(fn=cmd_factorize)
 
     p = sub.add_parser("index", help="index homomorphism value")
@@ -400,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lef", help="build or verify finite approximation witnesses")
     p.add_argument("rest", nargs="*", help="'verify <witness>' to re-check a file")
     p.add_argument("--set", help="file listing element names, one per line")
-    p.add_argument("--level", default="auto")
+    p.add_argument("--level", type=_level_arg, default="auto")
     p.add_argument("--out", default="witness")
     p.set_defaults(fn=cmd_lef)
 

@@ -8,6 +8,8 @@ stay below 10 and substitution alphabets use single-character letters.
 
 from __future__ import annotations
 
+import re
+
 from .canon import Factorization
 from .clopen import ClopenSet, cylinder, empty, full, union_all
 from .errors import ParseError, PreconditionError
@@ -90,13 +92,16 @@ def render_towers(xi: KRPartition) -> str:
 
 
 def parse_towers(text: str, spec: SystemSpec) -> KRPartition:
+    """Towers numbered 0, 1, 2, ... in order, then the base= and top= lines,
+    which must be the union of the tower bases and of the tower tops."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3 or not lines[-2].startswith("base=") or not lines[-1].startswith("top="):
+        raise ParseError("expected tower lines, then a 'base=<clopen>' and a 'top=<clopen>' line")
     towers = []
-    for ln in text.splitlines():
-        if not ln.startswith("tower "):
-            continue
+    for v, ln in enumerate(lines[:-2]):
         head, _, rest = ln.partition(": ")
-        if "base=" not in rest or " height=" not in rest:
-            raise ParseError(f"bad tower line {ln!r}")
+        if head != f"tower {v}" or not rest.startswith("base=") or " height=" not in rest:
+            raise ParseError(f"expected 'tower {v}: base=<clopen> height=<h>', got {ln!r}")
         base_text, _, htext = rest[len("base="):].rpartition(" height=")
         try:
             h = int(htext)
@@ -105,9 +110,12 @@ def parse_towers(text: str, spec: SystemSpec) -> KRPartition:
         if h < 1:
             raise ParseError(f"tower height below 1 in {ln!r}")
         towers.append((parse_clopen(base_text, spec), h))
-    if not towers:
-        raise ParseError("no tower lines found")
-    return KRPartition(spec, tuple(towers))
+    xi = KRPartition(spec, tuple(towers))
+    if parse_clopen(lines[-2][len("base="):], spec) != xi.base():
+        raise ParseError("the base= line is not the union of the tower bases")
+    if parse_clopen(lines[-1][len("top="):], spec) != xi.top():
+        raise ParseError("the top= line is not the union of the tower tops")
+    return xi
 
 
 def render_factorization(fac: Factorization) -> str:
@@ -125,22 +133,18 @@ def parse_factorization(text: str):
     """Numeric content of a factorization report:
     (level, n0, perms, u_levels, d_levels)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("level n="):
+    head = re.fullmatch(r"level n=([0-9]+) n0=([0-9]+)", lines[0]) if lines else None
+    if head is None:
         raise ParseError("report must start with 'level n=<n> n0=<n0>'")
-    head = lines[0].split()
-    try:
-        n = int(head[1][len("n="):])
-        n0 = int(head[2][len("n0="):])
-    except (IndexError, ValueError):
-        raise ParseError(f"bad header {lines[0]!r}")
+    n, n0 = int(head[1]), int(head[2])
     perms = []
     u_levels = []
     d_levels = []
     for ln in lines[1:]:
         if ln.startswith("tower "):
-            _, sep, rest = ln.partition(": ")
-            if not sep:
-                raise ParseError(f"expected 'tower <v>: <permutation>', got {ln!r}")
+            tower, sep, rest = ln.partition(": ")
+            if not sep or tower != f"tower {len(perms)}":
+                raise ParseError(f"expected 'tower {len(perms)}: <permutation>', got {ln!r}")
             try:
                 perms.append(tuple(int(t) for t in rest.split()))
             except ValueError:

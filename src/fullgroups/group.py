@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 
 from .clopen import (
     ClopenSet,
@@ -239,9 +240,6 @@ def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
             raise PreconditionError(f"carving failed within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
-_DIRECTSUM_STATE: dict = {}
-
-
 def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
     """k-th generator Q_k = T_{B'} T_{B''}^-1 of an infinite direct sum of Z.
 
@@ -250,39 +248,39 @@ def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
     Deterministic: the A_k are carved from a fixed sequence of pairwise
     disjoint cylinders.
     """
-    from .towers import first_return, induced
-
     if k < 1:
         raise PreconditionError("generators are numbered from 1")
-    state = _DIRECTSUM_STATE.setdefault(spec, {"used": empty(spec), "gens": []})
-    while len(state["gens"]) < k:
-        used = state["used"]
-        cyl = _carve_next_cylinder(spec, used)
-        # inside cyl, find a return cell and a sub-cylinder moved off itself
-        rf = first_return(spec, cyl)
-        t = min(rf.cells)
-        cell = rf.cells[t]
-        depth = spec.floor
-        b_prime = None
-        while b_prime is None:
-            lo, hi = spec.ladder_window(depth)
-            for w in sorted(language(spec, hi - lo + 1)):
-                cand = cylinder(spec, w, lo).intersect(cell)
-                if cand.is_empty():
-                    continue
-                if cand.translate(t).disjoint(cand):
-                    b_prime = cand
-                    break
-            depth += 1
-            if depth > _DEPTH_CAP:
-                raise PreconditionError(f"no separated sub-cylinder within _DEPTH_CAP = {_DEPTH_CAP}")
-        b_second = b_prime.translate(t)
-        q1 = induced(spec, b_prime)
-        q2 = induced(spec, b_second)
-        gen = compose(q1, invert(q2))
-        state["gens"].append(gen)
-        state["used"] = used.union(b_prime).union(b_second)
-    return state["gens"][k - 1]
+    return _directsum_step(spec, k)[0]
+
+
+@cache
+def _directsum_step(spec: SystemSpec, k: int) -> tuple[GroupElement, ClopenSet]:
+    """(Q_k, the union of the supports of Q_1, ..., Q_k)."""
+    from .towers import first_return, induced
+
+    used = _directsum_step(spec, k - 1)[1] if k > 1 else empty(spec)
+    cyl = _carve_next_cylinder(spec, used)
+    # inside cyl, find a return cell and a sub-cylinder moved off itself
+    rf = first_return(spec, cyl)
+    t = min(rf.cells)
+    cell = rf.cells[t]
+    depth = spec.floor
+    b_prime = None
+    while b_prime is None:
+        lo, hi = spec.ladder_window(depth)
+        for w in sorted(language(spec, hi - lo + 1)):
+            cand = cylinder(spec, w, lo).intersect(cell)
+            if cand.is_empty():
+                continue
+            if cand.translate(t).disjoint(cand):
+                b_prime = cand
+                break
+        depth += 1
+        if depth > _DEPTH_CAP:
+            raise PreconditionError(f"no separated sub-cylinder within _DEPTH_CAP = {_DEPTH_CAP}")
+    b_second = b_prime.translate(t)
+    gen = compose(induced(spec, b_prime), invert(induced(spec, b_second)))
+    return gen, used.union(b_prime).union(b_second)
 
 
 # -- agreement on a set, used by the canonical-form machinery --------------

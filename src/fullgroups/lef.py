@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canon import (
     _LEVEL_CAP, PermutationForm, Refusal, _atom_values, _signed_residue, _tower_perm,
@@ -109,11 +110,19 @@ class LEFWitness:
     injective: bool
     multiplicative: bool
 
+    @cached_property
+    def images(self) -> dict:
+        """The table as element -> HElement; a repeated row keeps its first image."""
+        images: dict = {}
+        for s, h in self.table:
+            images.setdefault(s, h)
+        return images
+
     def image(self, s: GroupElement) -> HElement:
-        for q, h in self.table:
-            if q == s:
-                return h
-        raise PreconditionError("element outside the witnessed set")
+        h = self.images.get(s)
+        if h is None:
+            raise PreconditionError("element outside the witnessed set")
+        return h
 
 
 def _inverse_agreement(desc: FinitePermGroupDesc, a: HElement, d: int) -> bool:
@@ -143,16 +152,9 @@ def lef_map(f_elems, level: int | None = None) -> LEFWitness:
         raise PreconditionError("F must be nonempty")
     spec = f_list[0].spec
     ident = identity(spec)
-    f_set = []
-    for s in [ident] + f_list:
-        if not any(equals(s, t) for t in f_set):
-            f_set.append(s)
-    squares = []
-    for s in f_set:
-        for t in f_set:
-            st = compose(s, t)
-            if not any(equals(st, u) for u in squares):
-                squares.append(st)
+    # GroupElement equality is `equals`; dict keys keep the first of each
+    f_set = list(dict.fromkeys([ident] + f_list))
+    squares = list(dict.fromkeys(compose(s, t) for s in f_set for t in f_set))
     levels = [level] if level is not None else range(1, _LEVEL_CAP + 1)
     for n in levels:
         w = _witness_at(spec, tuple(f_set), tuple(squares), n)
@@ -183,24 +185,17 @@ def _witness_at(spec, f_set, squares, n) -> LEFWitness | None:
     table = tuple((s, fac.permutation.perms) for s, fac in zip(squares, facs))
     if not all(_inverse_agreement(desc, h, d) for _, h in table):
         return None
-    images = [h for _, h in table]
-    injective = len(set(images)) == len(images)
-    multiplicative = True
-    for s in f_set:
-        for t in f_set:
-            st = compose(s, t)
-            target = next(h for u, h in table if equals(u, st))
-            if desc.compose(_image_of(table, s), _image_of(table, t)) != target:
-                multiplicative = False
+    images = dict(table)
+    injective = len(set(images.values())) == len(images)
+    multiplicative = all(
+        desc.compose(images[s], images[t]) == images[compose(s, t)]
+        for s in f_set for t in f_set
+    )
     if not (injective and multiplicative):
         return None
     return LEFWitness(
         f_set, squares, n, desc, table, injective, multiplicative
     )
-
-
-def _image_of(table, s: GroupElement) -> HElement | None:
-    return next((h for u, h in table if equals(u, s)), None)
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def verify_lef(w: LEFWitness) -> LEFReport:
     for s in w.elements:
         for t in w.elements:
             # a member or product missing from the table fails its line
-            hs, ht, hst = (_image_of(w.table, u) for u in (s, t, compose(s, t)))
+            hs, ht, hst = (w.images.get(u) for u in (s, t, compose(s, t)))
             good = None not in (hs, ht, hst) and desc.compose(hs, ht) == hst
             ok = ok and good
             lines.append(

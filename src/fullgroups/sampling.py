@@ -9,6 +9,7 @@ levels stay desk-scale.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .clopen import ClopenSet, cylinder, union_all
 from .errors import PreconditionError
@@ -23,26 +24,21 @@ from .group import (
 from .systems import PointRep, SystemSpec, base_point, language
 from .towers import induced
 
-_POOL_CACHE: dict = {}
-
 # Forward shifts of the primary point that point_inside tries.
 _POINT_SEARCH_CAP = 4096
 
 
+@cache
 def generator_pool(spec: SystemSpec) -> list:
-    pool = _POOL_CACHE.get(spec)
-    if pool is None:
-        t = shift(spec, 1)
-        first = (0,) if spec.kind == "odometer" else (spec.alphabet[0],)
-        pool = [
-            t,
-            invert(t),
-            embed_symmetric(spec, 3, (1, 2, 0), disjoint_cylinder_block(spec, 3)),
-            embed_symmetric(spec, 2, (1, 0), disjoint_cylinder_block(spec, 2)),
-            induced(spec, cylinder(spec, first)),
-        ]
-        _POOL_CACHE[spec] = pool
-    return pool
+    t = shift(spec, 1)
+    first = (0,) if spec.kind == "odometer" else (spec.alphabet[0],)
+    return [
+        t,
+        invert(t),
+        embed_symmetric(spec, 3, (1, 2, 0), disjoint_cylinder_block(spec, 3)),
+        embed_symmetric(spec, 2, (1, 0), disjoint_cylinder_block(spec, 2)),
+        induced(spec, cylinder(spec, first)),
+    ]
 
 
 def random_products(spec: SystemSpec, count: int, seed: int, max_len: int = 6) -> list:

@@ -30,19 +30,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, prod
 
 from .errors import ParseError, PreconditionError, SystemConfigError
 
 Word = tuple  # tuple of int digits (odometer) or 1-char strings (subshift)
 
-# Global caches keyed by spec value; specs are frozen dataclasses, so equal
-# descriptions share cached languages, word indexes, fiber tables, repunits
-# and base points.
+# The two hand-kept caches of the package, keyed by spec value (specs are
+# frozen dataclasses, so equal descriptions share entries); everything else
+# memoized per system is a functools cache on the function that computes it.
+# _LANG_CACHE is read by the benchmark worker, so it keeps its name and shape.
 _LANG_CACHE: dict = {}
+# Mask-kernel memo (word indexes, fiber tables, repunits). A functools cache
+# on _fiber_table trims the traced self time of clopen._shrink below that of
+# clopen._expand_words, a ranking that bench/tests/test_tracer.py pins.
 _EXT_CACHE: dict = {}
-_POINT_CACHE: dict = {}
 
 # Widest odometer window, in digit words, that is enumerated or held as a
 # mask: an int of this many bits is 512 KiB.
@@ -638,6 +641,7 @@ def _fixed_point_seeds(spec: SubstitutionSpec):
                     yield left, right, power
 
 
+@cache
 def base_point(spec: SystemSpec, which: str = "primary") -> tuple[PointRep, bool]:
     """Return (point, certified) for the primary or alternate computable point.
 
@@ -647,10 +651,7 @@ def base_point(spec: SystemSpec, which: str = "primary") -> tuple[PointRep, bool
     """
     if which not in ("primary", "alternate"):
         raise PreconditionError(f"unknown base point {which!r}")
-    key = (spec, which)
-    if key not in _POINT_CACHE:
-        _POINT_CACHE[key] = spec.base_point(which)
-    return _POINT_CACHE[key]
+    return spec.base_point(which)
 
 
 def point_window(p: PointRep, lo: int, hi: int) -> Word:

@@ -12,6 +12,7 @@ one-word atoms, already is, so it is not refined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, cylinder, union_all
 from .errors import PreconditionError, VerificationError
@@ -78,8 +79,6 @@ class KRPartition:
     band: int = 0  # band half-width m_n = n for that level
 
     _atoms: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
-    _masks: list = field(default_factory=list, hash=False, compare=False, repr=False)
-    _succ: list = field(default_factory=list, hash=False, compare=False, repr=False)
 
     def heights(self) -> list[int]:
         return [h for _, h in self.towers]
@@ -99,16 +98,15 @@ class KRPartition:
             self._atoms[key] = b.translate(i)
         return self._atoms[key]
 
+    @cached_property
     def _atom_masks(self) -> tuple[int, list]:
-        """(size, per-tower atom masks) on the level's own ladder window, built once."""
-        if not self._masks:
-            spec = self.spec
-            rows = [[self.atom(v, i) for i in range(h)] for v, (_, h) in enumerate(self.towers)]
-            size = max(spec.ladder_size(a.lo, a.hi) for row in rows for a in row)
-            self._masks.append((size, [
-                [_expand_words(spec, a.mask, (a.lo, a.hi), size) for a in row] for row in rows
-            ]))
-        return self._masks[0]
+        """(size, per-tower atom masks) on the level's own ladder window."""
+        spec = self.spec
+        rows = [[self.atom(v, i) for i in range(h)] for v, (_, h) in enumerate(self.towers)]
+        size = max(spec.ladder_size(a.lo, a.hi) for row in rows for a in row)
+        return size, [
+            [_expand_words(spec, a.mask, (a.lo, a.hi), size) for a in row] for row in rows
+        ]
 
     def cocycle_rows(self, s: GroupElement):
         """Cocycle values of s on the atoms, one tower at a time.
@@ -119,7 +117,7 @@ class KRPartition:
         own window gets its atom masks expanded there, uncached.
         """
         spec = self.spec
-        own, rows = self._atom_masks()
+        own, rows = self._atom_masks
         size = max(own, max(spec.ladder_size(c.lo, c.hi) for _, c in s.pieces))
         pieces = [(n, _expand_words(spec, c.mask, (c.lo, c.hi), size)) for n, c in s.pieces]
         win = spec.ladder_window(own)
@@ -128,19 +126,18 @@ class KRPartition:
                 row = (_expand_words(spec, a, win, size) for a in row)
             yield ({n for n, m in pieces if m & a} for a in row)
 
+    @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per tower v, the towers w with T^{h_v}(B_v) ∩ B_w nonempty, built once.
+        """Per tower v, the towers w with T^{h_v}(B_v) ∩ B_w nonempty.
 
         T maps the tops onto the bases, so the pieces B_v ∩ T^{-h_v}(B_w)
         partition B_v over its successors w, and B_w ∩ T^{h_v}(B_v)
         partition B_w over its predecessors v.
         """
-        if not self._succ:
-            self._succ.append(tuple(
-                tuple(w for w, (bw, _) in enumerate(self.towers) if not b.translate(h).disjoint(bw))
-                for b, h in self.towers
-            ))
-        return self._succ[0]
+        return tuple(
+            tuple(w for w, (bw, _) in enumerate(self.towers) if not b.translate(h).disjoint(bw))
+            for b, h in self.towers
+        )
 
     def iter_atoms(self):
         for v, (b, h) in enumerate(self.towers):
@@ -264,14 +261,9 @@ class TowerSequence:
         self._sizes.append(size)
 
 
-_SEQ_CACHE: dict = {}
-
-
+@cache
 def tower_sequence(spec: SystemSpec, anchor: PointRep | None = None) -> TowerSequence:
     """Shared tower sequence for a system and anchor (primary point by default)."""
     if anchor is None:
-        anchor, _ = base_point(spec, "primary")
-    key = (spec, anchor)
-    if key not in _SEQ_CACHE:
-        _SEQ_CACHE[key] = TowerSequence(spec, anchor)
-    return _SEQ_CACHE[key]
+        return tower_sequence(spec, base_point(spec, "primary")[0])
+    return TowerSequence(spec, anchor)

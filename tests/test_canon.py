@@ -326,6 +326,22 @@ def test_index_kernel_matches_stabilizer_product():
 
 def test_level_search_cap_names_its_knob(monkeypatch):
     monkeypatch.setattr(canon, "_LEVEL_CAP", 0)
-    monkeypatch.setattr(canon, "_FACT_CACHE", {})
     with pytest.raises(VerificationError, match=r"_LEVEL_CAP = 0"):
-        factorize(shift(ODO2, 1))
+        factorize.__wrapped__(shift(ODO2, 1))
+
+
+def test_factorization_cache_stays_bounded():
+    maxsize = factorize.cache_info().maxsize
+    assert maxsize == canon._FACT_CACHE_SIZE
+    # products over the pool, shortest first, until there are maxsize + 1
+    pool = sample_pool(ODO2)
+    seen = dict.fromkeys([identity(ODO2)])
+    frontier = list(seen)
+    while len(seen) <= maxsize:
+        frontier = list(dict.fromkeys(
+            s for s in (compose(e, g) for e in frontier for g in pool) if s not in seen
+        ))
+        seen.update(dict.fromkeys(frontier))
+    for s in seen:
+        factorize(s)
+    assert factorize.cache_info().currsize == maxsize

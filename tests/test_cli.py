@@ -74,6 +74,22 @@ def test_factorize_rejects_low_level(ws):
     assert run("factorize", "T2", "--level", "1") == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("factorize", "T", "--level", "abc"),
+    ("lef", "--set", "{flist}", "--level", "x"),
+], ids=["factorize", "lef"])
+def test_bad_level_is_a_usage_error(ws, capsys, command):
+    tmp, run = ws
+    (tmp / "flist.txt").write_text("T\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*(arg.format(flist=tmp / "flist.txt") for arg in command))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --level: expected 'auto' or an integer" in err
+    assert "Traceback" not in err
+
+
 def test_order_and_support(ws, capsys):
     tmp, run = ws
     assert run("element", "make", "--system", "odo2", "--out", "sw",

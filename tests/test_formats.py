@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fullgroups.canon import PermutationForm, RotationForm, factorize
 from fullgroups.clopen import cylinder, empty, full
@@ -166,6 +166,11 @@ def test_factorization_report_parse_errors():
         parse_factorization(head + "tower 0: 1 x\n")
     with pytest.raises(ParseError):  # no ': ' after the tower number
         parse_factorization(head + "tower 0 1 0\n")
+    for bad in ("level n=1 ab=1\n", "level n=1 n0=1 junk\n", "level n0=1 n=1\n"):
+        with pytest.raises(ParseError):
+            parse_factorization(bad + "tower 0: 0\n")
+    with pytest.raises(ParseError):  # towers out of order
+        parse_factorization(head + "tower 7: 1 0\ntower 0: 0\n")
 
 
 def test_lef_witness_round_trip():
@@ -282,3 +287,62 @@ def test_system_config_text_round_trip_fuzz(spec):
     back = parse_system_config(text)
     assert back == spec
     assert render_system_config(back) == text
+
+
+# -- mutated towers and factorization reports on the five-system matrix -----
+
+
+def _mutate(lines, kind, spec):
+    """Apply one mutation in place; False when it does not apply."""
+    towers = [i for i, ln in enumerate(lines) if ln.startswith("tower ")]
+    if kind == "renumbered tower":
+        lines[towers[-1]] = f"tower {len(towers)}: " + lines[towers[-1]].partition(": ")[2]
+    elif kind == "reordered towers":
+        if len(towers) < 2:
+            return False
+        a, b = towers[0], towers[-1]
+        lines[a], lines[b] = lines[b], lines[a]
+    elif kind == "duplicated tower":
+        lines.insert(towers[-1] + 1, lines[towers[-1]])
+    elif kind == "renamed header field":
+        lines[0] = lines[0].replace(" n0=", " m0=")
+    elif kind == "extra header token":
+        lines[0] += " 0"
+    elif kind in ("edited base", "edited top"):
+        key = kind.split()[1] + "="
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(key))
+        lines[at] = key + render_clopen(parse_clopen(lines[at][len(key):], spec).complement())
+    elif kind in ("missing base", "missing top"):
+        key = kind.split()[1] + "="
+        lines[:] = [ln for ln in lines if not ln.startswith(key)]
+    return True
+
+
+TOWER_MUTATIONS = ("renumbered tower", "reordered towers", "duplicated tower",
+                   "edited base", "edited top", "missing base", "missing top")
+REPORT_MUTATIONS = ("renumbered tower", "reordered towers", "duplicated tower",
+                    "renamed header field", "extra header token")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MATRIX)), st.integers(0, 10**6), st.integers(1, 3), st.booleans(),
+       st.sampled_from(TOWER_MUTATIONS))
+def test_mutated_towers_are_refused(name, seed, level, from_set, kind):
+    spec = MATRIX[name]
+    if from_set:
+        xi = kr_from_set(spec, random_clopen(spec, random.Random(seed), pieces=2, depth=3))
+    else:
+        xi = tower_sequence(spec).level(level)
+    lines = render_towers(xi).splitlines()
+    assume(_mutate(lines, kind, spec))
+    with pytest.raises(ParseError):
+        parse_towers("\n".join(lines) + "\n", spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(products(), st.sampled_from(REPORT_MUTATIONS))
+def test_mutated_factorization_reports_are_refused(s, kind):
+    lines = render_factorization(factorize(s)).splitlines()
+    assume(_mutate(lines, kind, s.spec))
+    with pytest.raises(ParseError):
+        parse_factorization("\n".join(lines) + "\n")

@@ -127,6 +127,20 @@ def test_verify_lef_catches_corruption():
     assert any("FAIL" in line for line in rep.lines)
 
 
+def test_repeated_rows_keep_their_first_image():
+    t = shift(ODO2, 1)
+    w = lef_map([t, t, identity(ODO2)])
+    assert w.elements == (identity(ODO2), t)  # deduplicated, first occurrence kept
+    (s, h), (_, other) = w.table[0], w.table[1]
+    twice = LEFWitness(
+        w.elements, w.squares + (s,), w.level, w.group, w.table + ((s, other),),
+        w.injective, w.multiplicative,
+    )
+    assert twice.image(s) == h and twice.images[s] == h
+    with pytest.raises(PreconditionError):
+        w.image(shift(ODO2, 5))
+
+
 def test_structure_report_n1():
     r = odometer_structure(ODO2, 1, samples=15)
     assert r.ok

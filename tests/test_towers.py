@@ -22,6 +22,7 @@ from fullgroups.towers import (
     refine_against,
     tower_sequence,
 )
+from oracles import return_word_towers
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
@@ -108,8 +109,8 @@ def test_band_set_identities():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_successors_split_each_base_both_ways(spec, level):
     xi = tower_sequence(spec).level(level)
-    succ = xi.successors()
-    assert xi.successors() is succ
+    succ = xi.successors
+    assert xi.successors is succ
     into = [b.translate(h) for b, h in xi.towers]
     for v, (b, h) in enumerate(xi.towers):
         outs = [b.intersect(xi.towers[w][0].translate(-h)) for w in succ[v]]
@@ -198,8 +199,26 @@ def test_odometer_levels_need_no_refinement(spec):
         assert kr_from_set(spec, base, index=n, band=n) == xi
 
 
+TM = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})
+TRIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}})
+
+
+@pytest.mark.parametrize("spec, levels", [
+    (ODO2, 6), (ODO23, 6), (FIB, 6), (TRIB, 6), (TM, 4),
+], ids=["odometer-2", "odometer-2-3", "fibonacci", "tribonacci", "thue-morse"])
+def test_levels_are_one_tower_per_return_word(spec, levels):
+    """Each level is the first-return partition of its base with every
+    return-time cell split by the return word it reads."""
+    seq = tower_sequence(spec)
+    for n in range(1, levels + 1):
+        xi = seq.level(n)
+        assert xi.towers == return_word_towers(xi.base()), f"level {n}"
+
+
 def test_tower_sequence_cached():
     assert tower_sequence(ODO23) is tower_sequence(ODO23)
+    for spec in (ODO23, FIB):
+        assert tower_sequence(spec) is tower_sequence(spec, base_point(spec)[0])
 
 
 def test_anchor_in_every_base():
