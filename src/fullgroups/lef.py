@@ -35,7 +35,7 @@ from .group import (
     make_element,
 )
 from .systems import SystemSpec, base_point
-from .towers import KRPartition, induced, kr_from_set
+from .towers import KRPartition, central_level, induced
 
 HElement = tuple  # one one-line permutation per tower
 
@@ -269,9 +269,9 @@ def _kernel_element(spec, xi: KRPartition, exps) -> GroupElement:
 
 
 def structure_partition(spec: SystemSpec, n: int) -> KRPartition:
-    """Single tower over the size-n central cylinder of the primary point."""
+    """Towers over the size-n central cylinder of the primary point; one on an odometer."""
     x, _ = base_point(spec, "primary")
-    return kr_from_set(spec, central_cylinder(spec, x, n), index=n)
+    return central_level(spec, central_cylinder(spec, x, n), index=n)
 
 
 def structure_decompose(s: GroupElement, xi: KRPartition):

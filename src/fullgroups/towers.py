@@ -4,9 +4,9 @@ A KR partition over a base B splits B into return-time cells A_k and tiles
 the space with atoms T^i(A_k), 0 <= i < k. The tower sequence anchored at a
 point x0 uses shrinking central cylinders around x0 as bases and skips
 candidate levels whose heights or diameters miss the band half-width m_n = n.
-Subshift levels are refined to be compatible with the previous level's cells
-and all cylinders of matching radius; an odometer level, one tower of
-one-word atoms, already is, so it is not refined.
+Each level is built from the words that fix it: on an odometer, one tower
+over the anchor's depth-d cylinder, of height p_1...p_d; on a subshift, one
+tower per complete return word to the central word. No level is refined.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, cylinder, union_all
+from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, union_all
 from .errors import PreconditionError, VerificationError
 from .group import GroupElement, _build
-from .systems import SystemSpec, PointRep, base_point, language
+# `language` stays a module-level alias: bench/tracer.py wraps it in each layer
+from .systems import SystemSpec, PointRep, _bits, _fiber_table, base_point, language  # noqa: F401
 
 _RETURN_CEILING = 1 << 20
 
@@ -64,9 +65,7 @@ def first_return(spec: SystemSpec, a: ClopenSet) -> ReturnFunction:
 def induced(spec: SystemSpec, a: ClopenSet) -> GroupElement:
     """Induced transformation T_A: first return on A, identity outside."""
     rf = first_return(spec, a)
-    raw = [(k, c) for k, c in rf.cells.items()]
-    raw.append((0, a.complement()))
-    return _build(spec, raw, validate=True)
+    return _build(spec, [*rf.cells.items(), (0, a.complement())], validate=True)
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,9 @@ class KRPartition:
         b, h = self.towers[v]
         if not 0 <= i < h:
             raise PreconditionError(f"level {i} outside tower of height {h}")
-        key = (v, i)
-        if key not in self._atoms:
-            self._atoms[key] = b.translate(i)
-        return self._atoms[key]
+        if (v, i) not in self._atoms:
+            self._atoms[v, i] = b.translate(i)
+        return self._atoms[v, i]
 
     @cached_property
     def _atom_masks(self) -> tuple[int, list]:
@@ -175,6 +173,26 @@ def kr_from_set(spec: SystemSpec, a: ClopenSet, index: int = 0, band: int = 0) -
     return KRPartition(spec, towers, index, band)
 
 
+def central_level(spec: SystemSpec, base: ClopenSet, index: int = 0, band: int = 0) -> KRPartition:
+    """Towers over a central cylinder B, one per word: on an odometer one, as T adds 1
+    mod p_1...p_d on B's depth-d word; on a subshift one per return word (Durand 1998),
+    each first-return cell A_k split by its words on [B.lo, B.hi + k], sorted by least word."""
+    if spec.kind == "odometer":
+        if base.word_count() != 1:
+            raise VerificationError(f"odometer level base has {base.word_count()} words, not one")
+        return KRPartition(spec, ((base, spec.block_size(base.hi + 1)),), index, band)
+    towers = []
+    for k, cell in sorted(first_return(spec, base).cells.items()):
+        size = spec.ladder_size(base.lo, base.hi + k)
+        lo, hi = spec.ladder_window(size)
+        mask = _expand_words(spec, cell.mask, (cell.lo, cell.hi), size)
+        fibers, proj = _fiber_table(spec, hi - lo + 1, base.lo - lo, base.hi + k - lo + 1)
+        words = {proj[i] for i in _bits(mask)}  # the hull words the cell reads
+        parts = [ClopenSet._canonical(spec, mask & fibers[j], (lo, hi)) for j in words]
+        towers.extend((c, k) for c in sorted(parts, key=ClopenSet.lex_least_word))
+    return KRPartition(spec, tuple(towers), index, band)
+
+
 def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:
     """Split tower bases until every atom is inside or disjoint from C.
 
@@ -185,15 +203,8 @@ def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:
         cells = [b]
         for i in range(h):
             pulled = c.translate(-i)
-            nxt = []
-            for cell in cells:
-                inner = cell.intersect(pulled)
-                outer = cell.difference(pulled)
-                if not inner.is_empty():
-                    nxt.append(inner)
-                if not outer.is_empty():
-                    nxt.append(outer)
-            cells = nxt
+            halves = ((cell.intersect(pulled), cell.difference(pulled)) for cell in cells)
+            cells = [part for pair in halves for part in pair if not part.is_empty()]
         cells.sort(key=lambda s: s.lex_least_word())
         new_towers.extend((cell, h) for cell in cells)
     return KRPartition(xi.spec, tuple(new_towers), xi.index, xi.band)
@@ -210,7 +221,8 @@ class TowerSequence:
     Levels are numbered from 1, and level n has band half-width m_n = n.
     Candidate bases are central cylinders around the anchor of growing
     size; candidates failing the height or diameter condition are skipped
-    and numbering stays dense. Odometer levels are not refined.
+    and numbering stays dense. A level is the `central_level` of its base,
+    unrefined: subshift bases have size >= 2n, so atoms fix [-n, n].
     """
 
     def __init__(self, spec: SystemSpec, anchor: PointRep):
@@ -239,24 +251,12 @@ class TowerSequence:
             size = max(size, 2 * n, rad + n + 1)
         while True:
             base = central_cylinder(self.spec, self.anchor, size)
-            xi = kr_from_set(self.spec, base, index=n, band=n)
+            xi = central_level(self.spec, base, index=n, band=n)
             if min(xi.heights()) >= 2 * n + 2 and all(
                 base.translate(i).fits_in_radius(rad) for i in range(-n - 1, n + 1)
             ):
                 break
             size += 1
-        # an odometer base cell that is one depth-`size` word has one-word
-        # atoms, each inside or disjoint from every set on a window of
-        # depth <= size: the previous cells and the length-n cylinders
-        single_word_cells = all(cell.word_count() == 1 for cell, _ in xi.towers)
-        if not (self.spec.kind == "odometer" and single_word_cells):
-            for cell, _ in self._levels[-1].towers if self._levels else ():
-                xi = refine_against(xi, cell)
-            lo, hi = self.spec.ladder_window(n)
-            for w in sorted(language(self.spec, hi - lo + 1)):
-                c = cylinder(self.spec, w, lo)
-                if not xi.refines_set(c):
-                    xi = refine_against(xi, c)
         self._levels.append(xi)
         self._sizes.append(size)
 

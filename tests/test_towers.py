@@ -181,10 +181,10 @@ def test_tower_sequence_refines_central_cylinders():
 
 @pytest.mark.parametrize("spec", [ODO2, ODO23], ids=["odometer-2", "odometer-2-3"])
 def test_odometer_levels_need_no_refinement(spec):
-    """The refinement skipped on odometers is a no-op: refining a level
-    against the previous cells and every length-n cylinder keeps its
-    towers, and the level is the one tower over the anchor's central
-    cylinder of the level's size."""
+    """Refinement, which the level path does not run, is a no-op here:
+    refining a level against the previous cells and every length-n
+    cylinder keeps its towers, and the level is the first-return tower
+    over the anchor's central cylinder of the level's size."""
     seq = tower_sequence(spec)
     for n in range(1, 7):
         xi = seq.level(n)
@@ -203,16 +203,60 @@ TM = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})
 TRIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}})
 
 
-@pytest.mark.parametrize("spec, levels", [
-    (ODO2, 6), (ODO23, 6), (FIB, 6), (TRIB, 6), (TM, 4),
-], ids=["odometer-2", "odometer-2-3", "fibonacci", "tribonacci", "thue-morse"])
-def test_levels_are_one_tower_per_return_word(spec, levels):
+MATRIX = [ODO2, ODO23, FIB, TRIB, TM]
+MATRIX_IDS = ["odometer-2", "odometer-2-3", "fibonacci", "tribonacci", "thue-morse"]
+
+
+@pytest.mark.parametrize("spec", MATRIX, ids=MATRIX_IDS)
+def test_levels_are_one_tower_per_return_word(spec):
     """Each level is the first-return partition of its base with every
     return-time cell split by the return word it reads."""
     seq = tower_sequence(spec)
-    for n in range(1, levels + 1):
+    for n in range(1, 10):
         xi = seq.level(n)
         assert xi.towers == return_word_towers(xi.base()), f"level {n}"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on the level path")
+
+
+@pytest.mark.parametrize("spec", MATRIX, ids=MATRIX_IDS)
+def test_level_path_does_not_refine(spec, monkeypatch):
+    """Levels are built from words: no refinement, no language scan, and
+    on an odometer no first-return peeling either."""
+    monkeypatch.setattr(towers, "refine_against", _refuse)
+    monkeypatch.setattr(towers.KRPartition, "refines_set", _refuse)
+    monkeypatch.setattr(towers, "language", _refuse)
+    if spec.kind == "odometer":
+        monkeypatch.setattr(towers, "first_return", _refuse)
+    seq = towers.TowerSequence(spec, base_point(spec)[0])
+    for n in range(1, 7):
+        assert seq.level(n).towers == tower_sequence(spec).level(n).towers
+
+
+@pytest.mark.parametrize("spec", [FIB, TRIB, TM], ids=["fibonacci", "tribonacci", "thue-morse"])
+def test_subshift_levels_keep_the_tower_conditions(spec):
+    """Levels 1-9 tile the space, hold the anchor, have towers of height at
+    least 2n+2, meet the diameter condition and nest their bases."""
+    seq = tower_sequence(spec)
+    prev = None
+    for n in range(1, 10):
+        xi = seq.level(n)
+        xi.validate()
+        base = xi.base()
+        assert base.contains_point(seq.anchor)
+        assert min(xi.heights()) >= 2 * n + 2
+        rad = 1 + (n - 1).bit_length()
+        assert all(base.translate(i).fits_in_radius(rad) for i in range(-n - 1, n + 1))
+        if prev is not None:
+            assert base.subset(prev)
+        prev = base
+
+
+def test_odometer_level_needs_one_word():
+    with pytest.raises(VerificationError, match="not one"):
+        towers.central_level(ODO2, cylinder(ODO2, (0, 0)).union(cylinder(ODO2, (1, 1))))
 
 
 def test_tower_sequence_cached():
