@@ -70,6 +70,8 @@ class ClopenSet:
 
     @staticmethod
     def _canonical(spec: SystemSpec, mask: int, win: tuple[int, int]) -> "ClopenSet":
+        if not mask:
+            return empty(spec)
         size = spec.ladder_size(*win)
         if win != spec.ladder_window(size):
             mask = _expand_words(spec, mask, win, size)
@@ -211,10 +213,15 @@ def empty(spec: SystemSpec) -> ClopenSet:
 
 
 def union_all(spec: SystemSpec, sets) -> ClopenSet:
-    out = empty(spec)
+    """Union of the sets: their masks OR-ed on the widest window, canonicalized once."""
+    sets = list(sets)
+    if any(s.spec != spec for s in sets):
+        raise PreconditionError("sets live over different systems")
+    size = max((spec.ladder_size(s.lo, s.hi) for s in sets), default=spec.floor)
+    mask = 0
     for s in sets:
-        out = out.union(s)
-    return out
+        mask |= _expand_words(spec, s.mask, (s.lo, s.hi), size)
+    return ClopenSet._canonical(spec, mask, spec.ladder_window(size))
 
 
 def check_partition(spec: SystemSpec, cells) -> None:

@@ -6,9 +6,9 @@ C_n. Canonical form merges pieces by power, so two elements are equal iff
 their canonical forms coincide. Composition follows
 f_{S1 S2}(x) = f_{S2}(x) + f_{S1}(S2 x).
 
-`_build` merges the raw pieces of one power in one step: their masks are
-OR-ed on the widest of their windows and the union is canonicalized once.
-Canonical forms are unique, so this equals a fold of pairwise unions.
+`_build` merges the raw pieces of one power with one `union_all`: their
+masks are OR-ed on the widest of their windows and the union is
+canonicalized once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from functools import cache
 
 from .clopen import (
     ClopenSet,
-    _expand_words,
     central_cylinder,
     check_partition,
     cylinder,
@@ -27,6 +26,8 @@ from .clopen import (
     full,
     union_all,
 )
+# alias kept: bench/tests/test_tracer.py checks the tracer replaces it here too
+from .clopen import _expand_words  # noqa: F401
 from .errors import NotPartitionError, PreconditionError
 from .systems import SystemSpec, PointRep, base_point, language
 
@@ -58,14 +59,7 @@ def _build(spec: SystemSpec, raw_pieces, validate: bool = False) -> GroupElement
     pieces = []
     for n in sorted(by_power):
         cells = by_power[n]
-        piece = cells[0]
-        if len(cells) > 1:
-            size = max(spec.ladder_size(c.lo, c.hi) for c in cells)
-            mask = 0
-            for c in cells:
-                mask |= _expand_words(spec, c.mask, (c.lo, c.hi), size)
-            piece = ClopenSet._canonical(spec, mask, spec.ladder_window(size))
-        pieces.append((n, piece))
+        pieces.append((n, cells[0] if len(cells) == 1 else union_all(spec, cells)))
     elem = GroupElement(spec, tuple(pieces))
     if validate:
         _validate(elem)

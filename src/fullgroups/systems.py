@@ -24,6 +24,9 @@ a given width is one int bitmask over that width's word index.
 - Subshifts: bit i is the i-th word of sorted(language(spec, width)). One
   table per (system, width, slice) holds the fiber mask of each inner word
   and the inner index of each outer word; T^n only moves the window.
+
+A point of either kind is a fixed stream plus an orbit offset `shift`:
+`shifted(n)` adds n to it, and `window` applies it when it reads.
 """
 
 from __future__ import annotations
@@ -31,29 +34,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, reduce
-from math import gcd, prod
+from math import lcm, prod
 
 from .errors import ParseError, PreconditionError, SystemConfigError
 
 Word = tuple  # tuple of int digits (odometer) or 1-char strings (subshift)
 
-# The two hand-kept caches of the package, keyed by spec value (specs are
+# The one hand-kept cache of the package, keyed by spec value (specs are
 # frozen dataclasses, so equal descriptions share entries); everything else
 # memoized per system is a functools cache on the function that computes it.
 # _LANG_CACHE is read by the benchmark worker, so it keeps its name and shape.
 _LANG_CACHE: dict = {}
-# Mask-kernel memo (word indexes, fiber tables, repunits). A functools cache
-# on _fiber_table trims the traced self time of clopen._shrink below that of
-# clopen._expand_words, a ranking that bench/tests/test_tracer.py pins.
-_EXT_CACHE: dict = {}
 
 # Widest odometer window, in digit words, that is enumerated or held as a
 # mask: an int of this many bits is 512 KiB.
 _ODOMETER_WORD_CAP = 1 << 22
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,6 @@ class OdometerSpec:
             scale *= self.base_at(i)
         return v
 
-    def digit_words(self, start: int, stop: int):
-        """All digit words over the coordinates start..stop-1."""
-        return itertools.product(*(range(self.base_at(i)) for i in range(start, stop)))
-
     def value_word(self, v: int, depth: int) -> Word:
         digits = []
         for i in range(depth):
@@ -121,8 +112,8 @@ class OdometerSpec:
                 raise ParseError(f"digit {d} too large at position {i} in {text!r}")
         return word
 
-    def word_admissible(self, w: Word, offset: int = 0) -> bool:
-        return all(isinstance(d, int) and 0 <= d < self.base_at(offset + i) for i, d in enumerate(w))
+    def word_admissible(self, w: Word) -> bool:
+        return all(isinstance(d, int) and 0 <= d < self.base_at(i) for i, d in enumerate(w))
 
     # -- window geometry ---------------------------------------------------
 
@@ -170,12 +161,7 @@ class OdometerSpec:
         """Mask of the width-words w with w[a:b] in the set; windows share
         their left end, so a == 0 and every digit tail is appended: the mask
         times the repunit with one bit per multiple of p_1 * ... * p_b."""
-        key = (self, b, width)
-        repunit = _EXT_CACHE.get(key)
-        if repunit is None:
-            whole, step = self.mask_width(width), self.block_size(b)
-            repunit = _EXT_CACHE[key] = ((1 << whole) - 1) // ((1 << step) - 1)
-        return mask * repunit
+        return mask * _repunit(self, b, width)
 
     def shrink_mask(self, mask: int, width: int, a: int, b: int) -> int | None:
         """Mask one rung down (width == b + 1), or None unless the set is the
@@ -200,7 +186,7 @@ class OdometerSpec:
 
     def build_language(self, length: int) -> frozenset:
         self.mask_width(length)
-        return frozenset(self.digit_words(0, length))
+        return frozenset(itertools.product(*(range(self.base_at(i)) for i in range(length))))
 
     def base_point(self, which: str):
         if which == "primary":
@@ -261,7 +247,7 @@ class SubstitutionSpec:
             raise ParseError(f"bad word {text!r} for alphabet {sorted(letters)}")
         return tuple(text)
 
-    def word_admissible(self, w: Word, offset: int = 0) -> bool:
+    def word_admissible(self, w: Word) -> bool:
         return w in language(self, len(w))
 
     # -- window geometry ---------------------------------------------------
@@ -279,14 +265,11 @@ class SubstitutionSpec:
 
     # -- word sets as masks: bit i is the i-th admissible word --------------
 
+    @cache
     def word_index(self, width: int) -> tuple[tuple, dict]:
         """(sorted(language(self, width)), word -> its position), built once per width."""
-        key = (self, width)
-        index = _EXT_CACHE.get(key)
-        if index is None:
-            words = tuple(sorted(language(self, width)))
-            index = _EXT_CACHE[key] = (words, {w: i for i, w in enumerate(words)})
-        return index
+        words = tuple(sorted(language(self, width)))
+        return words, {w: i for i, w in enumerate(words)}
 
     def full_mask(self, width: int) -> int:
         return (1 << len(language(self, width))) - 1
@@ -457,23 +440,25 @@ def language(spec: SystemSpec, length: int) -> frozenset:
     return per[length]
 
 
+@cache
 def _fiber_table(spec: SubstitutionSpec, width: int, a: int, b: int) -> tuple[list, list]:
     """(fibers, proj) between the (b-a)-word index and the width-word index.
 
     fibers[j] is the mask of the width-words w with w[a:b] the j-th inner
     word, and proj[i] is the inner index of the i-th width-word's slice.
-    Built once per key.
     """
-    key = (spec, width, a, b)
-    table = _EXT_CACHE.get(key)
-    if table is None:
-        inner = spec.word_index(b - a)[1]
-        proj = [inner[w[a:b]] for w in spec.word_index(width)[0]]
-        fibers = [0] * len(inner)
-        for i, j in enumerate(proj):
-            fibers[j] |= 1 << i
-        table = _EXT_CACHE[key] = (fibers, proj)
-    return table
+    inner = spec.word_index(b - a)[1]
+    proj = [inner[w[a:b]] for w in spec.word_index(width)[0]]
+    fibers = [0] * len(inner)
+    for i, j in enumerate(proj):
+        fibers[j] |= 1 << i
+    return fibers, proj
+
+
+@cache
+def _repunit(spec: OdometerSpec, b: int, width: int) -> int:
+    """Mask on the width window with one bit per multiple of p_1 * ... * p_b."""
+    return ((1 << spec.mask_width(width)) - 1) // ((1 << spec.block_size(b)) - 1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -487,24 +472,30 @@ def _bits(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class OdometerPoint:
-    """Eventually periodic digit stream: digit(i) = pre[i], then period cycles."""
+    """T^shift of the eventually periodic digit stream pre.period^inf.
+
+    Carries only move toward higher digits, so the first d digits of T^n x
+    are the d-digit word of value (x + n) mod p_1 * ... * p_d.
+    """
 
     spec: OdometerSpec
     pre: tuple[int, ...]
     period: tuple[int, ...]
+    shift: int = 0
 
     kind = "odometer"
 
     def __post_init__(self):
         if not self.period:
             raise PreconditionError("point needs a nonempty periodic tail")
-        span = len(self.pre) + _lcm(len(self.period), len(self.spec.bases))
+        span = len(self.pre) + lcm(len(self.period), len(self.spec.bases))
         for i in range(span):
             d = self.digit(i)
             if not 0 <= d < self.spec.base_at(i):
                 raise PreconditionError(f"digit {d} invalid at position {i}")
 
     def digit(self, i: int) -> int:
+        """Digit i of the unshifted stream."""
         if i < len(self.pre):
             return self.pre[i]
         return self.period[(i - len(self.pre)) % len(self.period)]
@@ -512,61 +503,28 @@ class OdometerPoint:
     def window(self, lo: int, hi: int) -> Word:
         if lo < 0:
             raise PreconditionError("odometer coordinates start at 0")
-        return tuple(self.digit(i) for i in range(lo, hi + 1))
-
-    def _tail_constant(self, start: int, value_of) -> bool:
-        # True iff digit(i) == value_of(i) for all i >= start; both sides are
-        # eventually periodic so one aligned cycle beyond the pre decides.
-        head_end = max(start, len(self.pre))
-        span = _lcm(len(self.period), len(self.spec.bases))
-        return all(self.digit(i) == value_of(i) for i in range(start, head_end + span))
-
-    def eventually_zero(self) -> bool:
-        return self._tail_constant(len(self.pre), lambda i: 0)
-
-    def eventually_top(self) -> bool:
-        return self._tail_constant(len(self.pre), lambda i: self.spec.base_at(i) - 1)
+        word = tuple(self.digit(i) for i in range(hi + 1))
+        if self.shift:
+            v = (self.spec.word_value(word) + self.shift) % self.spec.block_size(hi + 1)
+            word = self.spec.value_word(v, hi + 1)
+        return word[lo:]
 
     def shifted(self, n: int) -> "OdometerPoint":
-        """T^n of this point: digit addition with carry, exact on the stream."""
+        """T^n of this point."""
         if n == 0:
             return self
-        span = _lcm(len(self.period), len(self.spec.bases))
-        digits = [self.digit(i) for i in range(len(self.pre) + span)]
-        carry = n
-        i = 0
-        while carry != 0:
-            if i >= len(digits):
-                # carry is now +1 or -1 entering the periodic tail
-                if carry == 1 and self._tail_constant(i, lambda j: self.spec.base_at(j) - 1):
-                    return OdometerPoint(self.spec, tuple(digits), (0,))
-                if carry == -1 and self._tail_constant(i, lambda j: 0):
-                    top_pre = tuple(digits)
-                    period = tuple(
-                        self.spec.base_at(len(top_pre) + j) - 1 for j in range(span)
-                    )
-                    return OdometerPoint(self.spec, top_pre, period)
-                digits.append(self.digit(i))
-            p = self.spec.base_at(i)
-            v = digits[i] + carry
-            digits[i] = v % p
-            carry = (v - digits[i]) // p
-            i += 1
-        # align the processed prefix to a whole number of period cycles
-        end = len(self.pre)
-        while end < max(i, len(self.pre)) or (end - len(self.pre)) % len(self.period):
-            end += 1
-        while len(digits) < end:
-            digits.append(self.digit(len(digits)))
-        return OdometerPoint(self.spec, tuple(digits[:end]), self.period)
+        return OdometerPoint(self.spec, self.pre, self.period, self.shift + n)
 
     def orbit_certificate(self) -> bool:
         """True iff this point is certified to lie outside the orbit of 0^inf.
 
         The orbit of 0^inf consists exactly of the eventually-zero (n >= 0)
-        and eventually-top (n < 0) digit streams.
+        and eventually-top (n < 0) digit streams. A shift stays in its
+        orbit, so only the stream is read: one aligned cycle past `pre`.
         """
-        return not self.eventually_zero() and not self.eventually_top()
+        tail = range(len(self.pre), len(self.pre) + lcm(len(self.period), len(self.spec.bases)))
+        digits = [self.digit(i) for i in tail]
+        return any(digits) and digits != [self.spec.base_at(i) - 1 for i in tail]
 
     def certified_apart(self, other: "OdometerPoint") -> bool:
         """True iff the two points are certified to lie in different orbits.

@@ -1,8 +1,11 @@
 """Reference computations the tests compare the package against.
 
 They read an element's cocycle one piece at a time, the slow way the
-level tables replace, and build a tower level from its return words.
+level tables replace, build a tower level from its return words, and
+move an odometer digit stream by digit addition with carry.
 """
+
+from math import lcm
 
 from fullgroups.clopen import ClopenSet, _expand_words, cylinder
 from fullgroups.group import GroupElement
@@ -44,3 +47,49 @@ def return_word_towers(base: ClopenSet) -> tuple[tuple[ClopenSet, int], ...]:
         parts = sorted((c for c in parts if not c.is_empty()), key=ClopenSet.lex_least_word)
         towers.extend((c, k) for c in parts)
     return tuple(towers)
+
+
+def stream_digit(pre: tuple, period: tuple, i: int) -> int:
+    """Digit i of the eventually periodic stream pre.period^inf."""
+    if i < len(pre):
+        return pre[i]
+    return period[(i - len(pre)) % len(period)]
+
+
+def odometer_shifted(spec, pre: tuple, period: tuple, n: int) -> tuple[tuple, tuple]:
+    """(pre, period) of T^n of the stream pre.period^inf, by digit addition
+    with carry on the stream itself."""
+    if n == 0:
+        return pre, period
+    span = lcm(len(period), len(spec.bases))
+
+    def tail_constant(start, value_of):
+        # digit(i) == value_of(i) for all i >= start; both sides are
+        # eventually periodic, so one aligned cycle beyond pre decides
+        end = max(start, len(pre)) + span
+        return all(stream_digit(pre, period, i) == value_of(i) for i in range(start, end))
+
+    digits = [stream_digit(pre, period, i) for i in range(len(pre) + span)]
+    carry = n
+    i = 0
+    while carry != 0:
+        if i >= len(digits):
+            # carry is now +1 or -1 entering the periodic tail
+            if carry == 1 and tail_constant(i, lambda j: spec.base_at(j) - 1):
+                return tuple(digits), (0,)
+            if carry == -1 and tail_constant(i, lambda j: 0):
+                top = tuple(spec.base_at(len(digits) + j) - 1 for j in range(span))
+                return tuple(digits), top
+            digits.append(stream_digit(pre, period, i))
+        p = spec.base_at(i)
+        v = digits[i] + carry
+        digits[i] = v % p
+        carry = (v - digits[i]) // p
+        i += 1
+    # align the processed prefix to a whole number of period cycles
+    end = len(pre)
+    while end < max(i, len(pre)) or (end - len(pre)) % len(period):
+        end += 1
+    while len(digits) < end:
+        digits.append(stream_digit(pre, period, len(digits)))
+    return tuple(digits[:end]), period

@@ -193,7 +193,9 @@ def test_canonical_matches_count_table_reference(which, data):
     words ^= data.draw(st.sets(st.sampled_from(admissible), max_size=2), label="toggled")
     words = frozenset(words)
     expected = _reference_canonical(spec, words, size)
-    systems._EXT_CACHE.clear()
+    systems.SubstitutionSpec.word_index.cache_clear()
+    systems._fiber_table.cache_clear()
+    systems._repunit.cache_clear()
     mask = spec.encode(words, hi - lo + 1)
     cold = ClopenSet._canonical(spec, mask, (lo, hi))
     warm = ClopenSet._canonical(spec, mask, (lo, hi))

@@ -7,10 +7,12 @@ canonical form walks down the ladder while the set is a union of whole
 fibers. Kernel results are compared by their decoded canonical forms.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullgroups.clopen import ClopenSet, cylinder, union_all
+from fullgroups.clopen import ClopenSet, cylinder, empty, union_all
 from fullgroups.errors import ParseError, PreconditionError
 from fullgroups.formats import parse_clopen
 from fullgroups.sampling import random_products
@@ -120,6 +122,30 @@ def test_kernel_matches_word_set_reference(name, data):
     lo = H[0]
     heads = {w[central[0] - lo : central[1] - lo + 1] for w in _expand(spec, A, wa, H)}
     assert a.fits_in_radius(radius) == (len(heads) <= 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+def test_union_all_matches_pairwise_fold(name, data):
+    spec = SYSTEMS[name]
+    families = data.draw(st.lists(word_sets(spec), max_size=4), label="sets")
+    sets = [
+        reduce(ClopenSet.union, (cylinder(spec, w, win[0]) for w in sorted(words)), empty(spec))
+        for win, words in families
+    ]
+    assert union_all(spec, sets) == reduce(ClopenSet.union, sets, empty(spec))
+    assert _form(union_all(spec, iter(sets))) == _form(reduce(ClopenSet.union, sets, empty(spec)))
+
+
+def test_union_all_of_nothing_is_empty_and_mixed_systems_raise():
+    for spec in SYSTEMS.values():
+        assert union_all(spec, []) == empty(spec)
+    fib = SYSTEMS["fibonacci"]
+    a, b = cylinder(O2, (0,)), cylinder(fib, ("a",))
+    with pytest.raises(PreconditionError, match="different systems"):
+        union_all(O2, [a, b])
+    with pytest.raises(PreconditionError, match="different systems"):
+        union_all(fib, [a])
 
 
 def _values_by_word_table(s, a):

@@ -1,0 +1,63 @@
+"""Source-level guards on the package, read with `ast`.
+
+- Per-system memo lives in `functools` caches on the functions that
+  compute it. The one module-level dict cache left is
+  `systems._LANG_CACHE`, which the benchmark worker reads.
+- A `.kind ==`/`!=` test belongs only where the algorithm, not the window
+  shape, differs between odometers and subshifts; there are 8 such places.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fullgroups"
+ALLOWED_DICT_CACHES = {("systems", "_LANG_CACHE")}
+KIND_TEST_CAP = 8
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_dict(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+
+
+def _module_dict_caches(module, tree):
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.endswith("_CACHE") and _is_dict(value):
+                yield module, target.id
+
+
+def _kind_tests(tree) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, sides, sides[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq)) and any(
+                isinstance(side, ast.Attribute) and side.attr == "kind" for side in (left, right)
+            ):
+                count += 1
+    return count
+
+
+def test_no_module_level_dict_caches_but_the_language():
+    found = {key for module, tree in _modules() for key in _module_dict_caches(module, tree)}
+    assert found <= ALLOWED_DICT_CACHES, sorted(found - ALLOWED_DICT_CACHES)
+
+
+def test_kind_tests_stay_within_the_cap():
+    counts = {module: _kind_tests(tree) for module, tree in _modules()}
+    assert sum(counts.values()) <= KIND_TEST_CAP, {m: n for m, n in counts.items() if n}

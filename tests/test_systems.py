@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullgroups.errors import SystemConfigError
 from fullgroups.systems import (
@@ -10,6 +11,7 @@ from fullgroups.systems import (
     make_system,
     point_window,
 )
+from oracles import odometer_shifted, stream_digit
 
 
 def odometer2():
@@ -145,3 +147,49 @@ def test_orbit_certificate():
     assert not prim.orbit_certificate()
     assert not prim.shifted(12).orbit_certificate()
     assert not prim.shifted(-9).orbit_certificate()
+
+
+ODOMETERS = {
+    "2": make_system({"kind": "odometer", "bases": [2]}),
+    "2-3": make_system({"kind": "odometer", "bases": [2, 3]}),
+    "3": make_system({"kind": "odometer", "bases": [3]}),
+    "2-2-3": make_system({"kind": "odometer", "bases": [2, 2, 3]}),
+}
+
+
+@st.composite
+def odometer_streams(draw, spec):
+    """A valid (pre, period): a zero tail, a top tail or any valid cycle."""
+    pre = tuple(draw(st.integers(0, spec.base_at(i) - 1)) for i in range(draw(st.integers(0, 4))))
+    start = len(pre)
+    tail = draw(st.sampled_from(["zero", "top", "any"]))
+    if tail == "zero":
+        return pre, (0,)
+    if tail == "top":
+        return pre, tuple(spec.base_at(start + j) - 1 for j in range(len(spec.bases)))
+    length = draw(st.integers(1, 6))
+    # digit j recurs at start + j + k * length, so it must fit every base it meets
+    period = tuple(
+        draw(st.integers(0, min(spec.base_at(start + j + k * length) for k in range(len(spec.bases))) - 1))
+        for j in range(length)
+    )
+    return pre, period
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ODOMETERS)), st.data())
+def test_odometer_shift_matches_carry_reference(name, data):
+    spec = ODOMETERS[name]
+    pre, period = data.draw(odometer_streams(spec), label="stream")
+    p = OdometerPoint(spec, pre, period)
+    a = data.draw(st.integers(-300, 300), label="a")
+    b = data.draw(st.integers(-300, 300), label="b")
+    hi = data.draw(st.integers(0, 12), label="hi")
+    lo = data.draw(st.integers(0, hi), label="lo")
+    ref_pre, ref_period = odometer_shifted(spec, pre, period, a)
+    expected = tuple(stream_digit(ref_pre, ref_period, i) for i in range(lo, hi + 1))
+    assert p.shifted(a).window(lo, hi) == expected
+    assert p.shifted(a).shifted(b).window(0, 12) == p.shifted(a + b).window(0, 12)
+    assert p.shifted(a).orbit_certificate() == p.orbit_certificate()
+    # the reference stream is T^a x too, so it carries the same certificate
+    assert OdometerPoint(spec, ref_pre, ref_period).orbit_certificate() == p.orbit_certificate()
