@@ -9,20 +9,10 @@ cross-checked. Index-0 elements split further into two forward-orbit
 stabilizer members, and every nonempty clopen set supports an order-3
 commutator witness moving a designated point.
 
-`factorize` checks Q = P∘R on the level's tables, not on elements. With
-f_atoms[v][i] Q's power on atom T^i(B_v), perms[v] the permutation of
-tower v and M = {(v, w) : T^{h_v}(B_v) ∩ B_w nonempty}:
-
-- off the active bands, f_atoms[v][i] == perms[v][i] - i;
-- on U-band a (exponent +1), f_atoms[v][h_v-1-a] ==
-  h_w + perms[w][h_w-1-a] - (h_w-1-a) for each (v, w) in M;
-- on D-band b (exponent -1), f_atoms[w][b] == perms[v][b] - b - h_v
-  for each (v, w) in M.
-
-These cells partition X and both sides are constant on each, so the
-check is exact. Composing `PermutationForm.to_element()` with
-`RotationForm.to_element()` stays as the independent oracle in the tests
-and in `selftest`.
+`factorize` checks Q = P∘R on the level's tables, not on elements: one
+equation per cell of X, stated in `_check_factorization`. Composing
+`PermutationForm.to_element()` with `RotationForm.to_element()` stays as
+the independent oracle in the tests and in `selftest`.
 """
 
 from __future__ import annotations
@@ -45,7 +35,6 @@ from .group import (
     identity,
     invert,
     make_element,
-    shift,
     support,
 )
 from .systems import PointRep, SystemSpec, base_point
@@ -462,7 +451,6 @@ def kernel_decompose(
     q_elem: GroupElement,
     x: PointRep | None = None,
     y: PointRep | None = None,
-    assume_distinct: bool = False,
 ) -> tuple[GroupElement, GroupElement]:
     """Split an index-0 element as Q = P1∘P2 with P1, P2 in the stabilizers
     of the forward orbits of x and y.
@@ -476,7 +464,7 @@ def kernel_decompose(
         x, _ = base_point(spec, "primary")
     if y is None:
         y, _ = base_point(spec, "alternate")
-    if not x.certified_apart(y) and not assume_distinct:
+    if not x.certified_apart(y):
         raise PreconditionError(
             "cannot certify the two anchor orbits are distinct: subshift points carry no "
             "orbit certificate, and two odometer points need exactly one eventually constant"

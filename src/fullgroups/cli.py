@@ -192,7 +192,7 @@ def cmd_towers(ws: Workspace, args) -> int:
     spec = ws.load_system(args.system)
     if args.action == "from-set":
         c = parse_clopen(_need(args.set, "--set"), spec)
-        xi = kr_from_set(spec, c, band=args.band)
+        xi = kr_from_set(spec, c)
         xi.validate()
         print(render_towers(xi), end="")
         return 0
@@ -278,8 +278,8 @@ def _load_witness(ws: Workspace, text: str) -> LEFWitness:
         table.append((s, helem))
     elements = tuple(_load_hashed(ws, label)[1] for label in f_labels)
     desc = perm_group(tower_sequence(ws.load_system(sys_name)).level(level))
-    # the file claims both properties; verify_lef re-checks them
-    return LEFWitness(elements, tuple(s for s, _ in table), level, desc, tuple(table), True, True)
+    # the file claims an injective, multiplicative table; verify_lef re-checks it
+    return LEFWitness(elements, tuple(s for s, _ in table), level, desc, tuple(table))
 
 
 def cmd_lef(ws: Workspace, args) -> int:
@@ -372,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("from-set", "sequence", "show"))
     p.add_argument("--system", required=True)
     p.add_argument("--set", help="clopen set text for from-set")
-    p.add_argument("--band", type=int, default=0, help="band value for from-set")
     p.add_argument("--levels", type=int, default=4, help="levels for sequence")
     p.add_argument("--level", type=int, default=1, help="level for show")
     p.set_defaults(fn=cmd_towers)

@@ -124,14 +124,6 @@ def commutator(s1: GroupElement, s2: GroupElement) -> GroupElement:
     return compose(compose(s1, s2), compose(invert(s1), invert(s2)))
 
 
-def apply(s: GroupElement, p: PointRep) -> PointRep:
-    """Image of a point; exact via the piece containing it."""
-    for n, c in s.pieces:
-        if c.contains_point(p):
-            return p.shifted(n)
-    raise PreconditionError("point escaped the piece partition (invalid element?)")
-
-
 def cocycle_at(s: GroupElement, p: PointRep) -> int:
     for n, c in s.pieces:
         if c.contains_point(p):

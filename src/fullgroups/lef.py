@@ -5,7 +5,7 @@ At a deep enough level every element of a finite set F (and every product
 of two of them) is a within-tower permutation times a boundary rotation;
 dropping the rotation maps F² into the finite group H of per-tower level
 permutations. The map is injective on F and multiplicative on F×F, which
-is checked pair by pair and recorded in a witness. The odometer structure
+is checked pair by pair before a witness is returned. The odometer structure
 report verifies the semidirect shape of the level-n compatible subgroup:
 level permutations on top of a free-abelian kernel of induced maps.
 """
@@ -39,12 +39,16 @@ from .towers import KRPartition, central_level, induced
 
 HElement = tuple  # one one-line permutation per tower
 
+# The structure report's fixed scale: kernel exponents drawn from
+# [-_EXPONENT_RADIUS, _EXPONENT_RADIUS], generator orders refuted up to _ORDER_BOUND.
+_EXPONENT_RADIUS = 5
+_ORDER_BOUND = 64
+
 
 @dataclass(frozen=True)
 class FinitePermGroupDesc:
     """The group of within-tower level permutations of one partition."""
 
-    xi: KRPartition
     heights: tuple
 
     def order(self) -> int:
@@ -92,12 +96,9 @@ class FinitePermGroupDesc:
                 n = n * length // math.gcd(n, length)
         return n
 
-    def to_form(self, a: HElement) -> PermutationForm:
-        return PermutationForm(self.xi, a)
-
 
 def perm_group(xi: KRPartition) -> FinitePermGroupDesc:
-    return FinitePermGroupDesc(xi, tuple(xi.heights()))
+    return FinitePermGroupDesc(tuple(xi.heights()))
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,6 @@ class LEFWitness:
     level: int
     group: FinitePermGroupDesc
     table: tuple  # (element, HElement) pairs covering squares
-    injective: bool
-    multiplicative: bool
 
     @cached_property
     def images(self) -> dict:
@@ -193,13 +192,13 @@ def _witness_at(spec, f_set, squares, n) -> LEFWitness | None:
     )
     if not (injective and multiplicative):
         return None
-    return LEFWitness(
-        f_set, squares, n, desc, table, injective, multiplicative
-    )
+    return LEFWitness(f_set, squares, n, desc, table)
 
 
 @dataclass(frozen=True)
-class LEFReport:
+class Report:
+    """A verdict and the lines that state each check behind it."""
+
     ok: bool
     lines: tuple
 
@@ -207,14 +206,14 @@ class LEFReport:
         return "\n".join(self.lines)
 
 
-def verify_lef(w: LEFWitness) -> LEFReport:
+def verify_lef(w: LEFWitness) -> Report:
     """Re-check injectivity on F and multiplicativity on F×F pair by pair,
     after checking that every table image is a level permutation of H."""
     desc = w.group
     outside = [s for s, h in w.table if not desc.contains(h)]
     if outside:
         heights = ",".join(str(h) for h in desc.heights)
-        return LEFReport(False, tuple(
+        return Report(False, tuple(
             f"image of {element_hash(s)} in H (tower heights {heights}): FAIL" for s in outside
         ))
     lines = []
@@ -237,26 +236,7 @@ def verify_lef(w: LEFWitness) -> LEFReport:
                 f"product {element_hash(s)}*{element_hash(t)}: "
                 f"{'ok' if good else 'FAIL'}"
             )
-    return LEFReport(ok, tuple(lines))
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    n: int
-    height: int
-    transpositions: int
-    kernel_commutes: bool
-    kernel_order_bound: int
-    tuples_checked: int
-    tuples_distinct: bool
-    tuples_add: bool
-    samples: int
-    unique_factorization: bool
-    ok: bool
-    lines: tuple
-
-    def text(self) -> str:
-        return "\n".join(self.lines)
+    return Report(ok, tuple(lines))
 
 
 def _kernel_element(spec, xi: KRPartition, exps) -> GroupElement:
@@ -271,7 +251,7 @@ def _kernel_element(spec, xi: KRPartition, exps) -> GroupElement:
 def structure_partition(spec: SystemSpec, n: int) -> KRPartition:
     """Towers over the size-n central cylinder of the primary point; one on an odometer."""
     x, _ = base_point(spec, "primary")
-    return central_level(spec, central_cylinder(spec, x, n), index=n)
+    return central_level(spec, central_cylinder(spec, x, n))
 
 
 def structure_decompose(s: GroupElement, xi: KRPartition):
@@ -290,9 +270,7 @@ def odometer_structure(
     n: int,
     seed: int = 0,
     samples: int = 50,
-    radius: int = 5,
-    order_bound: int = 64,
-) -> StructureReport:
+) -> Report:
     """Desk-scale verification of the level-n semidirect structure of an
     odometer: realized transpositions on top of a free-abelian kernel of
     induced maps, with unique permutation-kernel factorization."""
@@ -325,24 +303,21 @@ def odometer_structure(
     )
     lines.append(f"kernel generators commute: {'ok' if commutes else 'FAIL'}")
     escapes = all(
-        order_exceeds(gens[i], order_bound, x.shifted(i)) for i in range(m)
+        order_exceeds(gens[i], _ORDER_BOUND, x.shifted(i)) for i in range(m)
     )
     lines.append(
-        f"kernel generator order exceeds {order_bound}: {'ok' if escapes else 'FAIL'}"
+        f"kernel generator order exceeds {_ORDER_BOUND}: {'ok' if escapes else 'FAIL'}"
     )
 
     rng = random.Random(seed)
     tuples = {tuple(0 for _ in range(m)), (1,) + (0,) * (m - 1), (0, 1) + (0,) * (m - 2)}
-    want = min(samples, (2 * radius + 1) ** m)
+    want = min(samples, (2 * _EXPONENT_RADIUS + 1) ** m)
     while len(tuples) < want:
-        tuples.add(tuple(rng.randint(-radius, radius) for _ in range(m)))
+        tuples.add(tuple(rng.randint(-_EXPONENT_RADIUS, _EXPONENT_RADIUS) for _ in range(m)))
     tuples = sorted(tuples)
     built = {t: _kernel_element(spec, xi, t) for t in tuples}
-    distinct = True
-    for i, t1 in enumerate(tuples):
-        for t2 in tuples[i + 1:]:
-            if equals(built[t1], built[t2]):
-                distinct = False
+    # canonical elements hash and compare by value, so equal ones collapse
+    distinct = len(set(built.values())) == len(tuples)
     nonzero_ok = all(
         is_identity(built[t]) == all(e == 0 for e in t) for t in tuples
     )
@@ -375,17 +350,4 @@ def odometer_structure(
 
     ok = commutes and escapes and distinct and adds and unique and realized == m - 1
     lines.append(f"structure: {'ok' if ok else 'FAIL'}")
-    return StructureReport(
-        n,
-        m,
-        realized,
-        commutes,
-        order_bound,
-        len(tuples),
-        distinct,
-        adds,
-        samples,
-        unique,
-        ok,
-        tuple(lines),
-    )
+    return Report(ok, tuple(lines))

@@ -537,7 +537,9 @@ class OdometerPoint:
 
 @dataclass(frozen=True)
 class SubstitutionPoint:
-    """Two-sided fixed point of rule^power with seed pair left.right, shifted by `shift`."""
+    """Two-sided fixed point of rule^power with seed pair left.right, shifted by `shift`.
+
+    Seeds come from `_fixed_point_seeds`, which checks them once."""
 
     spec: SubstitutionSpec
     left: str
@@ -546,14 +548,6 @@ class SubstitutionPoint:
     shift: int = 0
 
     kind = "substitution"
-
-    def __post_init__(self):
-        lw = self.spec.apply_rule(self.left, self.power)
-        rw = self.spec.apply_rule(self.right, self.power)
-        if not (lw.endswith(self.left) and rw.startswith(self.right)):
-            raise PreconditionError("seed pair is not fixed by the given rule power")
-        if (self.left, self.right) not in language(self.spec, 2):
-            raise PreconditionError("seed pair is not an admissible two-letter word")
 
     def _expand(self, need_left: int, need_right: int) -> tuple[str, str]:
         lw, rw = self.left, self.right

@@ -31,9 +31,6 @@ class ReturnFunction:
     base: ClopenSet
     cells: dict = field(hash=False)  # return time k -> clopen cell
 
-    def times(self) -> list[int]:
-        return sorted(self.cells)
-
 
 def first_return(spec: SystemSpec, a: ClopenSet) -> ReturnFunction:
     """Exact first-return decomposition of A.
@@ -74,8 +71,7 @@ class KRPartition:
 
     spec: SystemSpec
     towers: tuple[tuple[ClopenSet, int], ...]
-    index: int = 0  # level number within a sequence, 0 when standalone
-    band: int = 0  # band half-width m_n = n for that level
+    band: int = 0  # band half-width m_n = n of a sequence level, 0 when standalone
 
     _atoms: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
 
@@ -166,21 +162,21 @@ class KRPartition:
         )
 
 
-def kr_from_set(spec: SystemSpec, a: ClopenSet, index: int = 0, band: int = 0) -> KRPartition:
+def kr_from_set(spec: SystemSpec, a: ClopenSet) -> KRPartition:
     """KR partition generated by the first-return function of A."""
     rf = first_return(spec, a)
     towers = tuple((rf.cells[k], k) for k in sorted(rf.cells))
-    return KRPartition(spec, towers, index, band)
+    return KRPartition(spec, towers)
 
 
-def central_level(spec: SystemSpec, base: ClopenSet, index: int = 0, band: int = 0) -> KRPartition:
+def central_level(spec: SystemSpec, base: ClopenSet, band: int = 0) -> KRPartition:
     """Towers over a central cylinder B, one per word: on an odometer one, as T adds 1
     mod p_1...p_d on B's depth-d word; on a subshift one per return word (Durand 1998),
     each first-return cell A_k split by its words on [B.lo, B.hi + k], sorted by least word."""
     if spec.kind == "odometer":
         if base.word_count() != 1:
             raise VerificationError(f"odometer level base has {base.word_count()} words, not one")
-        return KRPartition(spec, ((base, spec.block_size(base.hi + 1)),), index, band)
+        return KRPartition(spec, ((base, spec.block_size(base.hi + 1)),), band)
     towers = []
     for k, cell in sorted(first_return(spec, base).cells.items()):
         size = spec.ladder_size(base.lo, base.hi + k)
@@ -190,7 +186,7 @@ def central_level(spec: SystemSpec, base: ClopenSet, index: int = 0, band: int =
         words = {proj[i] for i in _bits(mask)}  # the hull words the cell reads
         parts = [ClopenSet._canonical(spec, mask & fibers[j], (lo, hi)) for j in words]
         towers.extend((c, k) for c in sorted(parts, key=ClopenSet.lex_least_word))
-    return KRPartition(spec, tuple(towers), index, band)
+    return KRPartition(spec, tuple(towers), band)
 
 
 def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:
@@ -207,7 +203,7 @@ def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:
             cells = [part for pair in halves for part in pair if not part.is_empty()]
         cells.sort(key=lambda s: s.lex_least_word())
         new_towers.extend((cell, h) for cell in cells)
-    return KRPartition(xi.spec, tuple(new_towers), xi.index, xi.band)
+    return KRPartition(xi.spec, tuple(new_towers), xi.band)
 
 
 def _diameter_radius(n: int) -> int:
@@ -251,7 +247,7 @@ class TowerSequence:
             size = max(size, 2 * n, rad + n + 1)
         while True:
             base = central_cylinder(self.spec, self.anchor, size)
-            xi = central_level(self.spec, base, index=n, band=n)
+            xi = central_level(self.spec, base, band=n)
             if min(xi.heights()) >= 2 * n + 2 and all(
                 base.translate(i).fits_in_radius(rad) for i in range(-n - 1, n + 1)
             ):

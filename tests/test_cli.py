@@ -128,6 +128,15 @@ def test_towers_reports(ws, capsys):
     assert "base=" in out and "top=" in out
 
 
+def test_towers_from_set_has_no_band_flag(ws, capsys):
+    tmp, run = ws
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("towers", "from-set", "--system", "odo2", "--set", "0@0", "--band", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --band 1" in capsys.readouterr().err
+
+
 def test_stabilizer_and_decompose(ws, capsys):
     tmp, run = ws
     assert run("element", "make", "--system", "odo2", "--out", "sw",

@@ -7,7 +7,6 @@ from fullgroups.clopen import cylinder, empty, full
 from fullgroups.errors import NotPartitionError, PreconditionError
 from fullgroups.group import (
     agree_on,
-    apply,
     cocycle_at,
     cocycle_bound,
     commutator,
@@ -82,7 +81,7 @@ def test_embed_symmetric_involution():
     assert cocycle_values_on(s, u) == {1}
     assert cocycle_values_on(s, u.translate(1)) == {-1}
     x, _ = base_point(ODO2, "primary")
-    y = apply(s, x)
+    y = x.shifted(cocycle_at(s, x))
     assert y.window(0, 2) == (1, 0, 0)
 
 
@@ -202,17 +201,7 @@ def test_cocycle_law(p1, p2):
     for n in range(-2, 3):
         p = x.shifted(n)
         assert cocycle_at(compose(s1, s2), p) == cocycle_at(s2, p) + cocycle_at(
-            s1, apply(s2, p)
+            s1, p.shifted(cocycle_at(s2, p))
         )
-        q = apply(invert(s1), p)
+        q = p.shifted(cocycle_at(invert(s1), p))
         assert cocycle_at(invert(s1), p) == -cocycle_at(s1, q)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(0, 3), max_size=4))
-def test_apply_matches_cocycle(picks):
-    s = _product(ODO23, picks)
-    x, _ = base_point(ODO23, "primary")
-    for n in range(3):
-        p = x.shifted(n)
-        assert apply(s, p) == p.shifted(cocycle_at(s, p))

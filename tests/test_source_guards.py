@@ -5,6 +5,8 @@
   `systems._LANG_CACHE`, which the benchmark worker reads.
 - A `.kind ==`/`!=` test belongs only where the algorithm, not the window
   shape, differs between odometers and subshifts; there are 8 such places.
+- Every dataclass field is read somewhere in `src/`; a field nothing
+  reads is dead data.
 """
 
 import ast
@@ -61,3 +63,42 @@ def test_no_module_level_dict_caches_but_the_language():
 def test_kind_tests_stay_within_the_cap():
     counts = {module: _kind_tests(tree) for module, tree in _modules()}
     assert sum(counts.values()) <= KIND_TEST_CAP, {m: n for m, n in counts.items() if n}
+
+
+# Fields kept although no `src/` code reads them: tests read the refusal reason.
+UNREAD_FIELDS_ALLOWED = {("Refusal", "reason")}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """Each dataclass field in `src/` is read somewhere there as an attribute.
+
+    Matching is by name alone: a field is taken as read when any attribute
+    load of that name appears in any module, whatever the object. So a field
+    whose name another class also uses (an `index` field, say, beside
+    `canon.index`) can go unread without this guard noticing.
+    """
+    trees = [tree for _, tree in _modules()]
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {
+        (cls.name, stmt.target.id)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    unread = {f for f in fields if f[1] not in loaded} - UNREAD_FIELDS_ALLOWED
+    assert not unread, sorted(unread)
