@@ -23,6 +23,7 @@ from .errors import (
     VerificationError,
 )
 from .formats import (
+    element_system,
     parse_clopen,
     parse_element,
     parse_lef_witness,
@@ -61,13 +62,6 @@ class Workspace:
     def _path(self, name: str, suffix: str) -> Path:
         return self.root / f"{name}{suffix}"
 
-    def systems(self) -> dict[str, SystemSpec]:
-        for p in self.root.glob("*.system"):
-            name = p.stem
-            if name not in self._systems:
-                self._systems[name] = parse_system_config(p.read_text())
-        return dict(self._systems)
-
     def load_system(self, name: str) -> SystemSpec:
         if name not in self._systems:
             p = self._path(name, ".system")
@@ -83,11 +77,17 @@ class Workspace:
         self._systems[name] = spec
         return p
 
+    def read_element(self, text: str) -> tuple[str, GroupElement]:
+        """Parse element text against the one system file it names."""
+        name = element_system(text)
+        known = self._path(name, ".system").exists()
+        return parse_element(text, {name: self.load_system(name)} if known else {})
+
     def load_element(self, name: str) -> tuple[str, GroupElement]:
         p = self._path(name, ".elem")
         if not p.exists():
             raise PreconditionError(f"no element named {name!r} in the workspace")
-        return parse_element(p.read_text(), self.systems())
+        return self.read_element(p.read_text())
 
     def save_element(self, name: str, system_name: str, s: GroupElement) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -136,7 +136,7 @@ def cmd_element(ws: Workspace, args) -> int:
     if args.action == "make":
         _need(args.system, "--system"), _need(args.out, "--out")
         lines = [f"system {args.system}"] + _need(list(args.piece), "--piece")
-        name, s = parse_element("\n".join(lines) + "\n", ws.systems())
+        name, s = ws.read_element("\n".join(lines) + "\n")
         ws.save_element(args.out, name, s)
         print(f"{args.out}: {len(s.pieces)} pieces")
         return 0

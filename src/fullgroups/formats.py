@@ -60,12 +60,18 @@ def render_element(s: GroupElement, system_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def element_system(text: str) -> str:
+    """The system name on an element file's first line, 'system <name>'."""
+    head = next((ln for ln in text.splitlines() if ln.strip()), "")
+    if not head.startswith("system "):
+        raise ParseError("element file must start with a 'system <name>' line")
+    return head[len("system "):].strip()
+
+
 def parse_element(text: str, systems) -> tuple[str, GroupElement]:
     """Parse an element file; systems maps names to system specs."""
+    name = element_system(text)
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("system "):
-        raise ParseError("element file must start with a 'system <name>' line")
-    name = lines[0][len("system "):].strip()
     if name not in systems:
         raise ParseError(f"unknown system {name!r}")
     spec = systems[name]

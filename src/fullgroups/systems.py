@@ -21,9 +21,11 @@ a given width is one int bitmask over that width's word index.
   a residue set. Expansion multiplies by a repunit, a rung drops iff the
   mask repeats its low block, and T^n is a rotation. Masks wider than
   `_ODOMETER_WORD_CAP` bits are refused.
-- Subshifts: bit i is the i-th word of sorted(language(spec, width)). One
-  table per (system, width, slice) holds the fiber mask of each inner word
-  and the inner index of each outer word; T^n only moves the window.
+- Subshifts: bit i is the i-th admissible width-word in sorted order, held
+  as a string in `word_index(width)`, the one word table of each width
+  (`language` reads it too). One table per (system, width, slice) holds
+  the fiber mask of each inner word and the inner index of each outer
+  word; T^n only moves the window.
 
 A point of either kind is a fixed stream plus an orbit offset `shift`:
 `shifted(n)` adds n to it, and `window` applies it when it reads.
@@ -248,7 +250,7 @@ class SubstitutionSpec:
         return tuple(text)
 
     def word_admissible(self, w: Word) -> bool:
-        return w in language(self, len(w))
+        return "".join(w) in self.word_index(len(w))[1]
 
     # -- window geometry ---------------------------------------------------
 
@@ -266,23 +268,24 @@ class SubstitutionSpec:
     # -- word sets as masks: bit i is the i-th admissible word --------------
 
     @cache
-    def word_index(self, width: int) -> tuple[tuple, dict]:
-        """(sorted(language(self, width)), word -> its position), built once per width."""
-        words = tuple(sorted(language(self, width)))
+    def word_index(self, width: int) -> tuple[tuple[str, ...], dict[str, int]]:
+        """(the admissible width-words as sorted strings, word -> its position),
+        built once per width; equal-length strings sort as their letter tuples."""
+        words = tuple(sorted(_subst_factors(self, width)))
         return words, {w: i for i, w in enumerate(words)}
 
     def full_mask(self, width: int) -> int:
-        return (1 << len(language(self, width))) - 1
+        return (1 << len(self.word_index(width)[0])) - 1
 
     def word_bit(self, w: Word, width: int) -> int:
-        return self.word_index(width)[1][w]
+        return self.word_index(width)[1]["".join(w)]
 
     def encode(self, words, width: int) -> int:
         return reduce(lambda m, w: m | 1 << self.word_bit(w, width), words, 0)
 
     def decode(self, mask: int, width: int) -> list:
         words = self.word_index(width)[0]
-        return [words[i] for i in _bits(mask)]
+        return [tuple(words[i]) for i in _bits(mask)]
 
     def expand_mask(self, mask: int, width: int, a: int, b: int) -> int:
         """Mask of the admissible width-words w with w[a:b] in the set."""
@@ -315,7 +318,7 @@ class SubstitutionSpec:
     # -- per-kind bodies of the module-level functions ---------------------
 
     def build_language(self, length: int) -> frozenset:
-        return frozenset(tuple(w) for w in _subst_factors(self, length))
+        return frozenset(map(tuple, self.word_index(length)[0]))
 
     def base_point(self, which: str):
         seeds = list(itertools.islice(_fixed_point_seeds(self), 2))

@@ -6,7 +6,10 @@ point x0 uses shrinking central cylinders around x0 as bases and skips
 candidate levels whose heights or diameters miss the band half-width m_n = n.
 Each level is built from the words that fix it: on an odometer, one tower
 over the anchor's depth-d cylinder, of height p_1...p_d; on a subshift, one
-tower per complete return word to the central word. No level is refined.
+tower per complete return word to the central word, found by string search
+in the admissible words of the system's word index. No level is refined,
+and no level peels first returns; `first_return` serves arbitrary clopen
+sets (`kr_from_set`, `induced`).
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, union_all
+from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, cylinder, union_all
 from .errors import PreconditionError, VerificationError
 from .group import GroupElement, _build
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
-from .systems import SystemSpec, PointRep, _bits, _fiber_table, base_point, language  # noqa: F401
+from .systems import SystemSpec, PointRep, base_point, language  # noqa: F401
 
 _RETURN_CEILING = 1 << 20
 
@@ -170,23 +173,32 @@ def kr_from_set(spec: SystemSpec, a: ClopenSet) -> KRPartition:
 
 
 def central_level(spec: SystemSpec, base: ClopenSet, band: int = 0) -> KRPartition:
-    """Towers over a central cylinder B, one per word: on an odometer one, as T adds 1
-    mod p_1...p_d on B's depth-d word; on a subshift one per return word (Durand 1998),
-    each first-return cell A_k split by its words on [B.lo, B.hi + k], sorted by least word."""
+    """Towers over a cylinder B of one word u, one per word: on an odometer one, as T
+    adds 1 mod p_1...p_d on u; on a subshift one per complete return word w to u
+    (Durand 1998), over the cylinder of its hull w·u on [B.lo, B.hi + |w|]. Towers are
+    ordered by height, then by least word."""
+    if base.word_count() != 1:
+        raise VerificationError(f"level base has {base.word_count()} words, not one")
     if spec.kind == "odometer":
-        if base.word_count() != 1:
-            raise VerificationError(f"odometer level base has {base.word_count()} words, not one")
         return KRPartition(spec, ((base, spec.block_size(base.hi + 1)),), band)
-    towers = []
-    for k, cell in sorted(first_return(spec, base).cells.items()):
-        size = spec.ladder_size(base.lo, base.hi + k)
-        lo, hi = spec.ladder_window(size)
-        mask = _expand_words(spec, cell.mask, (cell.lo, cell.hi), size)
-        fibers, proj = _fiber_table(spec, hi - lo + 1, base.lo - lo, base.hi + k - lo + 1)
-        words = {proj[i] for i in _bits(mask)}  # the hull words the cell reads
-        parts = [ClopenSet._canonical(spec, mask & fibers[j], (lo, hi)) for j in words]
-        towers.extend((c, k) for c in sorted(parts, key=ClopenSet.lex_least_word))
+    u = "".join(base.lex_least_word())
+    towers = [(cylinder(spec, hull, base.lo), len(hull) - len(u)) for hull in _return_hulls(spec, u)]
+    towers.sort(key=lambda tower: (tower[1], tower[0].lex_least_word()))
     return KRPartition(spec, tuple(towers), band)
+
+
+def _return_hulls(spec: SystemSpec, u: str) -> set[str]:
+    """The words w·u, w a complete return word to u: each admissible length-L
+    word that starts with u, cut after its next u. Every point of [u] reads
+    such a word, so the set is exact once each of them holds a second u;
+    until then L doubles."""
+    length = 2 * len(u)
+    while True:
+        starts = [w for w in spec.word_index(length)[0] if w.startswith(u)]
+        cuts = [w.find(u, 1) for w in starts]
+        if min(cuts) > 0:
+            return {w[: k + len(u)] for w, k in zip(starts, cuts)}
+        length *= 2
 
 
 def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:

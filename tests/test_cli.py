@@ -241,6 +241,27 @@ def test_parse_errors_exit_4(ws):
     assert run("lef", "verify", "bad") == 4
 
 
+def test_an_unrelated_malformed_system_file_is_not_read(ws, capsys):
+    tmp, run = ws
+    (tmp / "bad.system").write_text("kind = rotation\n")
+    assert run("element", "make", "--system", "odo2", "--out", "sw",
+               "--piece", "10@0 -> 1", "--piece", "01@0 -> -1",
+               "--piece", "00@0 -> 0", "--piece", "11@0 -> 0") == 0
+    capsys.readouterr()
+    assert run("element", "order", "sw") == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert run("element", "make", "--system", "bad", "--out", "x", "--piece", "FULL -> 0") == 4
+
+
+def test_an_element_of_a_missing_system_exits_4(ws, capsys):
+    tmp, run = ws
+    assert run("element", "make", "--system", "nosuch", "--out", "x", "--piece", "FULL -> 0") == 4
+    (tmp / "orphan.elem").write_text("system nosuch\nFULL -> 0\n")
+    capsys.readouterr()
+    assert run("element", "order", "orphan") == 4
+    assert "unknown system 'nosuch'" in capsys.readouterr().err
+
+
 def test_missing_names_exit_2(ws):
     tmp, run = ws
     assert run("index", "nosuch") == 2

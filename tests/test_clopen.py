@@ -208,7 +208,7 @@ def test_fiber_masks_partition_the_language():
         for width, a, b in ((7, 1, 6), (5, 0, 2), (9, 4, 5)):
             fibers, proj = _fiber_table(spec, width, a, b)
             outer, inner = spec.word_index(width)[0], spec.word_index(b - a)[0]
-            assert sorted(outer) == sorted(language(spec, width)) == list(outer)
+            assert sorted(map(tuple, outer)) == sorted(language(spec, width)) == list(map(tuple, outer))
             assert sum(f.bit_count() for f in fibers) == len(outer)
             assert sum(fibers) == (1 << len(outer)) - 1  # disjoint and covering
             for j, fiber in enumerate(fibers):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,3 +194,47 @@ def test_odometer_shift_matches_carry_reference(name, data):
     assert p.shifted(a).orbit_certificate() == p.orbit_certificate()
     # the reference stream is T^a x too, so it carries the same certificate
     assert OdometerPoint(spec, ref_pre, ref_period).orbit_certificate() == p.orbit_certificate()
+
+
+def tribonacci():
+    return make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}})
+
+
+SUBSHIFTS = {"fibonacci": fibonacci(), "thue-morse": thue_morse(), "tribonacci": tribonacci()}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSHIFTS))
+def test_word_index_is_the_sorted_language_as_strings(name):
+    """The index holds the sorted language as strings, and every word of
+    width <= 11 occurs in a central window of the fixed point."""
+    spec = SUBSHIFTS[name]
+    text = "".join(point_window(base_point(spec)[0], -400, 400))
+    for n in range(1, 12):
+        words, position = spec.word_index(n)
+        assert [tuple(w) for w in words] == sorted(language(spec, n))
+        assert set(words) == {text[i : i + n] for i in range(len(text) - n + 1)}
+        assert all(position[w] == i for i, w in enumerate(words))
+
+
+@pytest.mark.parametrize("name", sorted(SUBSHIFTS))
+def test_word_admissible_agrees_with_the_language(name):
+    spec = SUBSHIFTS[name]
+    for n in range(1, 7):
+        admissible = language(spec, n)
+        for w in itertools.product(spec.alphabet, repeat=n):
+            assert spec.word_admissible(w) == (w in admissible), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SUBSHIFTS)), st.integers(1, 9), st.data())
+def test_encode_decode_and_word_bit_round_trip(name, width, data):
+    spec = SUBSHIFTS[name]
+    admissible = sorted(language(spec, width))
+    words = data.draw(st.sets(st.sampled_from(admissible)), label="words")
+    mask = spec.encode(words, width)
+    assert mask.bit_count() == len(words)
+    assert spec.decode(mask, width) == sorted(words)
+    for w in words:
+        bit = spec.word_bit(w, width)
+        assert spec.decode(1 << bit, width) == [w]
+        assert spec.word_bit("".join(w), width) == bit == admissible.index(w)

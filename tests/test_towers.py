@@ -1,6 +1,7 @@
 """First-return decomposition, KR partitions, and anchored tower sequences."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullgroups import towers
 from fullgroups.clopen import central_cylinder, check_partition, cylinder, empty
@@ -216,19 +217,31 @@ def test_levels_are_one_tower_per_return_word(spec):
         assert xi.towers == return_word_towers(xi.base()), f"level {n}"
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([FIB, TRIB, TM]),
+    st.integers(0, 6),
+    st.integers(-200, 200),
+)
+def test_return_word_towers_match_the_first_return_oracle(spec, size, j):
+    """A central cylinder around any orbit point, anchored level or not,
+    has one tower per return word, as the first-return oracle splits it."""
+    base = central_cylinder(spec, base_point(spec)[0].shifted(j), size)
+    assert towers.central_level(spec, base).towers == return_word_towers(base)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("called on the level path")
 
 
 @pytest.mark.parametrize("spec", MATRIX, ids=MATRIX_IDS)
 def test_level_path_does_not_refine(spec, monkeypatch):
-    """Levels are built from words: no refinement, no language scan, and
-    on an odometer no first-return peeling either."""
+    """Levels are built from words: no refinement, no language scan and no
+    first-return peeling, on odometers and subshifts alike."""
     monkeypatch.setattr(towers, "refine_against", _refuse)
     monkeypatch.setattr(towers.KRPartition, "refines_set", _refuse)
     monkeypatch.setattr(towers, "language", _refuse)
-    if spec.kind == "odometer":
-        monkeypatch.setattr(towers, "first_return", _refuse)
+    monkeypatch.setattr(towers, "first_return", _refuse)
     seq = towers.TowerSequence(spec, base_point(spec)[0])
     for n in range(1, 7):
         assert seq.level(n).towers == tower_sequence(spec).level(n).towers
