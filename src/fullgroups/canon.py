@@ -502,9 +502,10 @@ def _find_swap_site(spec, x, y, q: int, p_floor: int):
     for depth in range(1, _DEPTH_CAP + 1):
         c = central_cylinder(spec, x, depth)
         for p in range(max(p_floor, 1), 4 * q + 1):
-            yset = c.union(c.translate(p))
-            if c.word_count() + c.translate(p).word_count() != yset.word_count():
+            t = c.translate(p)
+            if not c.disjoint(t):
                 continue
+            yset = c.union(t)
             if any(not yset.disjoint(yset.translate(l)) for l in range(1, 2 * q + 1)):
                 continue
             if any(

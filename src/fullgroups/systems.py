@@ -42,12 +42,6 @@ from .errors import ParseError, PreconditionError, SystemConfigError
 
 Word = tuple  # tuple of int digits (odometer) or 1-char strings (subshift)
 
-# The one hand-kept cache of the package, keyed by spec value (specs are
-# frozen dataclasses, so equal descriptions share entries); everything else
-# memoized per system is a functools cache on the function that computes it.
-# _LANG_CACHE is read by the benchmark worker, so it keeps its name and shape.
-_LANG_CACHE: dict = {}
-
 # Widest odometer window, in digit words, that is enumerated or held as a
 # mask: an int of this many bits is 512 KiB.
 _ODOMETER_WORD_CAP = 1 << 22
@@ -186,10 +180,6 @@ class OdometerSpec:
 
     # -- per-kind bodies of the module-level functions ---------------------
 
-    def build_language(self, length: int) -> frozenset:
-        self.mask_width(length)
-        return frozenset(itertools.product(*(range(self.base_at(i)) for i in range(length))))
-
     def base_point(self, which: str):
         if which == "primary":
             return OdometerPoint(self, (), (0,)), True
@@ -317,9 +307,6 @@ class SubstitutionSpec:
 
     # -- per-kind bodies of the module-level functions ---------------------
 
-    def build_language(self, length: int) -> frozenset:
-        return frozenset(map(tuple, self.word_index(length)[0]))
-
     def base_point(self, which: str):
         seeds = list(itertools.islice(_fixed_point_seeds(self), 2))
         if not seeds:
@@ -379,14 +366,11 @@ def _subst_factors(spec: SubstitutionSpec, length: int) -> frozenset:
             closed = new
         return frozenset(w for w in closed if len(w) == length)
 
-    pairs = _subst_factors(spec, 2)
-    k = 0
     seeds = {a: a for a in spec.alphabet}
     while any(len(w) < length for w in seeds.values()):
-        k += 1
         seeds = {a: spec.apply_rule(w) for a, w in seeds.items()}
     out = set()
-    for ab in pairs:
+    for ab in spec.word_index(2)[0]:
         big = seeds[ab[0]] + seeds[ab[1]]
         for i in range(len(big) - length + 1):
             out.add(big[i : i + length])
@@ -433,14 +417,12 @@ def make_system(desc: dict) -> SystemSpec:
     raise SystemConfigError(f"unknown system kind {kind!r}")
 
 
+@cache
 def language(spec: SystemSpec, length: int) -> frozenset:
     """All admissible words of the given length (as tuples)."""
     if length < 1:
         raise PreconditionError("word length must be >= 1")
-    per = _LANG_CACHE.setdefault(spec, {})
-    if length not in per:
-        per[length] = spec.build_language(length)
-    return per[length]
+    return frozenset(spec.decode(spec.full_mask(length), length))
 
 
 @cache

@@ -1,27 +1,28 @@
 """First-return functions, Kakutani-Rokhlin partitions, and tower sequences.
 
 A KR partition over a base B splits B into return-time cells A_k and tiles
-the space with atoms T^i(A_k), 0 <= i < k. The tower sequence anchored at a
-point x0 uses shrinking central cylinders around x0 as bases and skips
-candidate levels whose heights or diameters miss the band half-width m_n = n.
-Each level is built from the words that fix it: on an odometer, one tower
-over the anchor's depth-d cylinder, of height p_1...p_d; on a subshift, one
-tower per complete return word to the central word, found by string search
-in the admissible words of the system's word index. No level is refined,
-and no level peels first returns; `first_return` serves arbitrary clopen
-sets (`kr_from_set`, `induced`).
+the space with atoms T^i(A_k), 0 <= i < k. One routine, `_return_cells`,
+reads the return times of any clopen set from its words: on an odometer a
+residue returns at the next residue of the set; on a subshift each cell is
+the hull of a return word, found by string search in the admissible words
+of the system's word index. `first_return` groups those cells by return
+time (`kr_from_set`, `induced`); `central_level` keeps one tower per cell.
+The tower sequence anchored at a point x0 uses shrinking central cylinders
+around x0 as bases and skips candidate levels whose heights or diameters
+miss the band half-width m_n = n. No level is refined.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, cylinder, union_all
+from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, union_all
 from .errors import PreconditionError, VerificationError
 from .group import GroupElement, _build
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
-from .systems import SystemSpec, PointRep, base_point, language  # noqa: F401
+from .systems import SystemSpec, PointRep, _bits, base_point, language  # noqa: F401
 
 _RETURN_CEILING = 1 << 20
 
@@ -36,30 +37,57 @@ class ReturnFunction:
 
 
 def first_return(spec: SystemSpec, a: ClopenSet) -> ReturnFunction:
-    """Exact first-return decomposition of A.
+    """Exact first-return decomposition of A: its `_return_cells`, grouped by
+    return time."""
+    cells: dict = {}
+    for k, win, bit in _return_cells(spec, a):
+        cells[k] = (cells.get(k, (0,))[0] | bit, win)
+    cells = {k: ClopenSet._canonical(spec, *cells[k]) for k in sorted(cells)}
+    return ReturnFunction(spec, a, cells)
 
-    Peels off A_k = {x in A : T^k x in A, T^j x not in A for 0 < j < k} by
-    clopen algebra; terminates because return times are bounded on minimal
-    systems.
+
+def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, int], int]]:
+    """(return time k, window, one-word mask) per cell of A on which the
+    first return reads one word.
+
+    On an odometer A is a residue set S mod p_1...p_d on its depth-d window,
+    and a value r of S returns at the next value of S, counted cyclically.
+    On a subshift each admissible length-L word that starts with a word of A
+    is cut after the next such word it holds, at offset k, into the cell's
+    word on [A.lo, A.hi + k]. Every point of A reads such a word, so the
+    cells are exact once each of them holds a second word of A; until then
+    L doubles. Primitive substitutions are linearly recurrent, so L stays
+    within a constant times A's width.
     """
     if a.is_empty():
         raise PreconditionError("first return needs a nonempty set")
-    remaining = a
-    cells: dict[int, ClopenSet] = {}
-    k = 0
-    while not remaining.is_empty():
-        k += 1
-        if k > _RETURN_CEILING:
-            raise VerificationError(
-                f"return time exceeded _RETURN_CEILING = 2^{_RETURN_CEILING.bit_length() - 1}; "
-                "system not minimal?"
-            )
-        back = a.translate(-k)
-        hit = remaining.intersect(back)
-        if not hit.is_empty():
-            cells[k] = hit
-            remaining = remaining.difference(back)
-    return ReturnFunction(spec, a, cells)
+    width = a.hi - a.lo + 1
+    if spec.kind == "odometer":
+        values = _bits(a.mask)
+        nexts = values[1:] + [values[0] + spec.block_size(width)]
+        cells = [(s - r, (a.lo, a.hi), 1 << r) for r, s in zip(values, nexts)]
+    else:
+        index = spec.word_index(width)[0]
+        words = {index[i] for i in _bits(a.mask)}
+        ahead = re.compile("(?=%s)" % "|".join(map(re.escape, words)))
+        length = 2 * width
+        while True:
+            starts = [w for w in spec.word_index(length)[0] if w[:width] in words]
+            cuts = [ahead.search(w, 1) for w in starts]
+            if all(cuts):
+                break
+            length *= 2
+        hulls = {w[: m.start() + width] for w, m in zip(starts, cuts)}
+        cells = [
+            (len(h) - width, spec.word_window(a.lo, len(h)), 1 << spec.word_bit(h, len(h)))
+            for h in hulls
+        ]
+    if max(k for k, _, _ in cells) > _RETURN_CEILING:
+        raise VerificationError(
+            f"return time exceeded _RETURN_CEILING = 2^{_RETURN_CEILING.bit_length() - 1}; "
+            "system not minimal?"
+        )
+    return cells
 
 
 def induced(spec: SystemSpec, a: ClopenSet) -> GroupElement:
@@ -97,13 +125,13 @@ class KRPartition:
 
     @cached_property
     def _atom_masks(self) -> tuple[int, list]:
-        """(size, per-tower atom masks) on the level's own ladder window."""
+        """(size, per-tower atom masks) on the level's ladder window: atom i
+        of a tower is T^i of its base mask, expanded there once."""
         spec = self.spec
-        rows = [[self.atom(v, i) for i in range(h)] for v, (_, h) in enumerate(self.towers)]
-        size = max(spec.ladder_size(a.lo, a.hi) for row in rows for a in row)
-        return size, [
-            [_expand_words(spec, a.mask, (a.lo, a.hi), size) for a in row] for row in rows
-        ]
+        rows = [[spec.translate_mask(b.mask, b.lo, b.hi, i) for i in range(h)]
+                for b, h in self.towers]
+        size = max(spec.ladder_size(lo, hi) for row in rows for _, lo, hi in row)
+        return size, [[_expand_words(spec, m, (lo, hi), size) for m, lo, hi in row] for row in rows]
 
     def cocycle_rows(self, s: GroupElement):
         """Cocycle values of s on the atoms, one tower at a time.
@@ -173,32 +201,16 @@ def kr_from_set(spec: SystemSpec, a: ClopenSet) -> KRPartition:
 
 
 def central_level(spec: SystemSpec, base: ClopenSet, band: int = 0) -> KRPartition:
-    """Towers over a cylinder B of one word u, one per word: on an odometer one, as T
-    adds 1 mod p_1...p_d on u; on a subshift one per complete return word w to u
-    (Durand 1998), over the cylinder of its hull w·u on [B.lo, B.hi + |w|]. Towers are
-    ordered by height, then by least word."""
+    """Towers over a cylinder B of one word u, one per `_return_cells` cell: on an
+    odometer one, of height p_1...p_d, as T adds 1 mod p_1...p_d on u; on a
+    subshift one per complete return word w to u (Durand 1998), over the
+    cylinder of its hull w·u on [B.lo, B.hi + |w|]. Towers are ordered by
+    height, then by least word."""
     if base.word_count() != 1:
         raise VerificationError(f"level base has {base.word_count()} words, not one")
-    if spec.kind == "odometer":
-        return KRPartition(spec, ((base, spec.block_size(base.hi + 1)),), band)
-    u = "".join(base.lex_least_word())
-    towers = [(cylinder(spec, hull, base.lo), len(hull) - len(u)) for hull in _return_hulls(spec, u)]
+    towers = [(ClopenSet._canonical(spec, bit, win), k) for k, win, bit in _return_cells(spec, base)]
     towers.sort(key=lambda tower: (tower[1], tower[0].lex_least_word()))
     return KRPartition(spec, tuple(towers), band)
-
-
-def _return_hulls(spec: SystemSpec, u: str) -> set[str]:
-    """The words w·u, w a complete return word to u: each admissible length-L
-    word that starts with u, cut after its next u. Every point of [u] reads
-    such a word, so the set is exact once each of them holds a second u;
-    until then L doubles."""
-    length = 2 * len(u)
-    while True:
-        starts = [w for w in spec.word_index(length)[0] if w.startswith(u)]
-        cuts = [w.find(u, 1) for w in starts]
-        if min(cuts) > 0:
-            return {w[: k + len(u)] for w, k in zip(starts, cuts)}
-        length *= 2
 
 
 def refine_against(xi: KRPartition, c: ClopenSet) -> KRPartition:

@@ -1,8 +1,9 @@
 """Reference computations the tests compare the package against.
 
 They read an element's cocycle one piece at a time, the slow way the
-level tables replace, build a tower level from its return words, and
-move an odometer digit stream by digit addition with carry.
+level tables replace, peel first returns by clopen algebra and build a
+tower level from them, and move an odometer digit stream by digit
+addition with carry.
 """
 
 from math import lcm
@@ -10,7 +11,6 @@ from math import lcm
 from fullgroups.clopen import ClopenSet, _expand_words, cylinder
 from fullgroups.group import GroupElement
 from fullgroups.systems import language
-from fullgroups.towers import first_return
 
 
 def cocycle_table(s: GroupElement) -> tuple[tuple[int, int], dict]:
@@ -30,6 +30,20 @@ def cocycle_values_on(s: GroupElement, a: ClopenSet) -> set[int]:
     return {n for n, c in s.pieces if not c.disjoint(a)}
 
 
+def peeled_first_return(a: ClopenSet) -> dict:
+    """Return time k -> cell A_k of A, peeled one k at a time:
+    A_k = {x in A : T^k x in A, T^j x not in A for 0 < j < k}."""
+    remaining, cells, k = a, {}, 0
+    while not remaining.is_empty():
+        k += 1
+        back = a.translate(-k)
+        hit = remaining.intersect(back)
+        if not hit.is_empty():
+            cells[k] = hit
+            remaining = remaining.difference(back)
+    return cells
+
+
 def return_word_towers(base: ClopenSet) -> tuple[tuple[ClopenSet, int], ...]:
     """Towers over B with one tower per return word, in order of height.
 
@@ -40,7 +54,7 @@ def return_word_towers(base: ClopenSet) -> tuple[tuple[ClopenSet, int], ...]:
     """
     spec = base.spec
     towers = []
-    for k, cell in sorted(first_return(spec, base).cells.items()):
+    for k, cell in sorted(peeled_first_return(base).items()):
         _, lo_k, hi_k = spec.translate_mask(base.mask, base.lo, base.hi, -k)
         lo, hi = min(base.lo, lo_k), max(base.hi, hi_k)
         parts = [cylinder(spec, w, lo).intersect(cell) for w in language(spec, hi - lo + 1)]

@@ -20,7 +20,7 @@ from fullgroups.canon import (
     t_u,
 )
 from fullgroups import canon
-from fullgroups.clopen import cylinder
+from fullgroups.clopen import central_cylinder, cylinder
 from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
     cocycle_at,
@@ -261,6 +261,43 @@ def test_kernel_decompose_sampled():
         assert order(p2, 4) in (1, 2)
         done += 1
     assert done >= 2
+
+
+def _swap_sites_by_scan(spec, x, y, q):
+    """The (depth, p) candidates in scan order whose blocks T^l(C), T^(l+p)(C),
+    0 <= l <= 2q, are pairwise disjoint, each pair tested by its
+    intersection, and miss the orbit points T^j(y), |j| <= q."""
+    for depth in range(1, 33):
+        c = central_cylinder(spec, x, depth)
+        for p in range(1, 4 * q + 1):
+            blocks = [c.translate(l + off) for l in range(2 * q + 1) for off in (0, p)]
+            if any(
+                not a.intersect(b).is_empty() for i, a in enumerate(blocks) for b in blocks[i + 1 :]
+            ):
+                continue
+            if any(b.contains_point(y.shifted(j)) for b in blocks[:2] for j in range(-q, q + 1)):
+                continue
+            yield c, p
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ODO2, ODO32, FIB, make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})],
+    ids=["odometer-2", "odometer-3-2", "fibonacci", "thue-morse"],
+)
+def test_swap_site_is_the_first_disjoint_one(spec):
+    """C and T^p(C) can be disjoint while their union canonicalizes on a
+    smaller window (a subshift's T^p moves the window; an odometer's union
+    can fill a fiber), so word counts do not decide disjointness."""
+    x, _ = base_point(spec, "primary")
+    y, _ = base_point(spec, "alternate")
+    for q in range(1, 6):
+        sites = _swap_sites_by_scan(spec, x, y, q)
+        site = next(sites)
+        for p_floor in range(1, 2 * q + 1):
+            while site[1] < p_floor:
+                site = next(sites)
+            assert canon._find_swap_site(spec, x, y, q, p_floor) == site, (q, p_floor)
 
 
 def test_kernel_decompose_rejects_nonzero_index():

@@ -1,8 +1,7 @@
 """Source-level guards on the package, read with `ast`.
 
 - Per-system memo lives in `functools` caches on the functions that
-  compute it. The one module-level dict cache left is
-  `systems._LANG_CACHE`, which the benchmark worker reads.
+  compute it; no module-level dict cache is left.
 - A `.kind ==`/`!=` test belongs only where the algorithm, not the window
   shape, differs between odometers and subshifts; there are 8 such places.
 - Every dataclass field is read somewhere in `src/`; a field nothing
@@ -13,7 +12,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fullgroups"
-ALLOWED_DICT_CACHES = {("systems", "_LANG_CACHE")}
+ALLOWED_DICT_CACHES: set = set()
 KIND_TEST_CAP = 8
 
 
@@ -55,7 +54,7 @@ def _kind_tests(tree) -> int:
     return count
 
 
-def test_no_module_level_dict_caches_but_the_language():
+def test_no_module_level_dict_caches():
     found = {key for module, tree in _modules() for key in _module_dict_caches(module, tree)}
     assert found <= ALLOWED_DICT_CACHES, sorted(found - ALLOWED_DICT_CACHES)
 

@@ -1,7 +1,9 @@
 """First-return decomposition, KR partitions, and anchored tower sequences."""
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fullgroups import towers
 from fullgroups.clopen import central_cylinder, check_partition, cylinder, empty
@@ -14,6 +16,7 @@ from fullgroups.group import (
     is_identity,
     support,
 )
+from fullgroups.sampling import random_clopen
 from fullgroups.systems import base_point, language, make_system
 from fullgroups.towers import (
     first_return,
@@ -22,7 +25,7 @@ from fullgroups.towers import (
     refine_against,
     tower_sequence,
 )
-from oracles import return_word_towers
+from oracles import peeled_first_return, return_word_towers
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
@@ -228,6 +231,24 @@ def test_return_word_towers_match_the_first_return_oracle(spec, size, j):
     has one tower per return word, as the first-return oracle splits it."""
     base = central_cylinder(spec, base_point(spec)[0].shifted(j), size)
     assert towers.central_level(spec, base).towers == return_word_towers(base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(MATRIX),
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+    st.integers(1, 7),
+    st.booleans(),
+)
+def test_first_return_cells_match_the_peeled_oracle(spec, seed, pieces, depth, flip):
+    """Cells read from words equal the cells peeled one return time at a
+    time, on random clopen sets and their complements."""
+    a = random_clopen(spec, random.Random(seed), pieces=pieces, depth=depth)
+    if flip:
+        a = a.complement()
+    assume(not a.is_empty())
+    assert first_return(spec, a).cells == peeled_first_return(a)
 
 
 def _refuse(*args, **kwargs):
