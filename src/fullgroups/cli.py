@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import acceptance
 from .canon import factorize, in_stabilizer, index, kernel_decompose, separation_witness
 from .errors import (
     ParseError,
@@ -322,6 +321,8 @@ def cmd_structure(ws: Workspace, args) -> int:
 
 
 def cmd_selftest(ws: Workspace, args) -> int:
+    from . import acceptance  # only selftest pays for compiling the suite
+
     return 0 if acceptance.run_all(args.seed) else 3
 
 

@@ -22,7 +22,8 @@ a given width is one int bitmask over that width's word index.
   mask repeats its low block, and T^n is a rotation. Masks wider than
   `_ODOMETER_WORD_CAP` bits are refused.
 - Subshifts: bit i is the i-th admissible width-word in sorted order, held
-  as a string in `word_index(width)`, the one word table of each width
+  as a string in `word_index(width)`, scanned at widths <= 2 and powers of
+  two and read off a power of two's words as prefixes at any other width
   (`language` reads it too). One table per (system, width, slice) holds
   the fiber mask of each inner word and the inner index of each outer
   word; T^n only moves the window.
@@ -259,9 +260,18 @@ class SubstitutionSpec:
 
     @cache
     def word_index(self, width: int) -> tuple[tuple[str, ...], dict[str, int]]:
-        """(the admissible width-words as sorted strings, word -> its position),
-        built once per width; equal-length strings sort as their letter tuples."""
-        words = tuple(sorted(_subst_factors(self, width)))
+        """(the admissible width-words as sorted strings, word -> its position);
+        equal-length strings sort as their letter tuples.
+
+        Only widths <= 2 and powers of two are scanned. In a minimal subshift
+        every word extends to the right, so the words of any other width are
+        the width-prefixes of the next power of two's: still sorted, with
+        repeats adjacent, so `dict.fromkeys` drops them in one pass."""
+        if width <= 2 or not width & (width - 1):
+            words = tuple(sorted(_subst_factors(self, width)))
+        else:
+            wide = self.word_index(1 << (width - 1).bit_length())[0]
+            words = tuple(dict.fromkeys(w[:width] for w in wide))
         return words, {w: i for i, w in enumerate(words)}
 
     def full_mask(self, width: int) -> int:
@@ -386,16 +396,14 @@ def _check_aperiodic(spec: SubstitutionSpec) -> None:
     n = len(spec.alphabet)
     m = max(len(img) for _, img in spec.rule)
     depth = 4 * n * m * m + 4
-    prev = len(_subst_factors(spec, 1))
-    scan = 2
-    while scan <= depth:
-        cur = len(_subst_factors(spec, scan))
+    prev = 0
+    for scan in range(1, depth + 1):
+        cur = len(spec.word_index(scan)[0])
         if cur <= prev:
             raise SystemConfigError(
                 f"substitution generates a periodic shift (factor counts plateau at length {scan})"
             )
         prev = cur
-        scan += 1
 
 
 def make_system(desc: dict) -> SystemSpec:
@@ -534,20 +542,18 @@ class SubstitutionPoint:
 
     kind = "substitution"
 
-    def _expand(self, need_left: int, need_right: int) -> tuple[str, str]:
-        lw, rw = self.left, self.right
-        while len(lw) < need_left or len(rw) < need_right:
-            lw = self.spec.apply_rule(lw, self.power)
-            rw = self.spec.apply_rule(rw, self.power)
-        return lw, rw
+    def _expand(self, seed: str, need: int) -> str:
+        """The first iterate rule^(power*k)(seed) at least `need` letters long."""
+        k = 0
+        while len(word := _seed_iterate(self.spec, seed, self.power, k)) < need:
+            k += 1
+        return word
 
     def window(self, lo: int, hi: int) -> Word:
         lo, hi = lo + self.shift, hi + self.shift
-        lw, rw = self._expand(max(1, -lo), max(1, hi + 1))
-        out = []
-        for i in range(lo, hi + 1):
-            out.append(rw[i] if i >= 0 else lw[len(lw) + i])
-        return tuple(out)
+        lw = self._expand(self.left, -lo)
+        rw = self._expand(self.right, hi + 1)
+        return tuple((lw + rw)[len(lw) + lo : len(lw) + hi + 1])
 
     def shifted(self, n: int) -> "SubstitutionPoint":
         if n == 0:
@@ -562,6 +568,12 @@ class SubstitutionPoint:
 
 
 PointRep = OdometerPoint | SubstitutionPoint
+
+
+@cache
+def _seed_iterate(spec: SubstitutionSpec, seed: str, power: int, k: int) -> str:
+    """rule^(power*k) of a seed word, each iterate built from the one before."""
+    return seed if k == 0 else spec.apply_rule(_seed_iterate(spec, seed, power, k - 1), power)
 
 
 def _fixed_point_seeds(spec: SubstitutionSpec):

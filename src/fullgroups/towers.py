@@ -56,8 +56,9 @@ def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, 
     is cut after the next such word it holds, at offset k, into the cell's
     word on [A.lo, A.hi + k]. Every point of A reads such a word, so the
     cells are exact once each of them holds a second word of A; until then
-    L doubles. Primitive substitutions are linearly recurrent, so L stays
-    within a constant times A's width.
+    L doubles, from the power of two >= 2 * width(A), a scanned index width;
+    a cut is the same at any L that holds it. Primitive substitutions are
+    linearly recurrent, so L stays within a constant times A's width.
     """
     if a.is_empty():
         raise PreconditionError("first return needs a nonempty set")
@@ -70,7 +71,7 @@ def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, 
         index = spec.word_index(width)[0]
         words = {index[i] for i in _bits(a.mask)}
         ahead = re.compile("(?=%s)" % "|".join(map(re.escape, words)))
-        length = 2 * width
+        length = 1 << (2 * width - 1).bit_length()
         while True:
             starts = [w for w in spec.word_index(length)[0] if w[:width] in words]
             cuts = [ahead.search(w, 1) for w in starts]

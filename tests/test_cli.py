@@ -1,5 +1,10 @@
 """End-to-end command line checks over a temporary workspace."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from fullgroups import cli
@@ -333,3 +338,10 @@ def test_lef_witness_file_round_trips_through_the_loader(readme_witness):
     w = cli._load_witness(cli.Workspace(tmp), text)
     assert render_lef_witness(w) == text
     assert run("lef", "verify", "w1") == 0
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = 'import sys, fullgroups.cli; assert "fullgroups.acceptance" not in sys.modules'
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)

@@ -4,14 +4,18 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fullgroups import systems
 from fullgroups.errors import SystemConfigError
 from fullgroups.systems import (
     OdometerPoint,
+    SubstitutionSpec,
+    _subst_factors,
     base_point,
     language,
     make_system,
     point_window,
 )
+from fullgroups.towers import TowerSequence
 from oracles import odometer_shifted, stream_digit
 
 
@@ -238,3 +242,63 @@ def test_encode_decode_and_word_bit_round_trip(name, width, data):
         bit = spec.word_bit(w, width)
         assert spec.decode(1 << bit, width) == [w]
         assert spec.word_bit("".join(w), width) == bit == admissible.index(w)
+
+
+# Fibonacci, Thue-Morse, tribonacci, and three rules with unequal images
+WORD_TABLE_RULES = (
+    {"a": "ab", "b": "a"},
+    {"a": "ab", "b": "ba"},
+    {"a": "ab", "b": "ac", "c": "a"},
+    {"a": "aab", "b": "ba"},
+    {"a": "abc", "b": "bc", "c": "ca"},
+    {"a": "b", "b": "ab"},
+)
+
+
+@pytest.mark.parametrize("rule", WORD_TABLE_RULES, ids=lambda r: ",".join(f"{a}>{w}" for a, w in r.items()))
+def test_word_index_reads_other_widths_as_prefixes(rule):
+    """A width that is neither <= 2 nor a power of two is read off the next
+    power of two's table, and still equals the sorted factor scan."""
+    spec = make_system({"kind": "substitution", "rule": rule})
+    for n in range(1, 131):
+        assert spec.word_index(n)[0] == tuple(sorted(_subst_factors(spec, n))), n
+
+
+def test_subshift_levels_scan_only_short_and_power_of_two_widths(monkeypatch):
+    """Cold levels 1-9 scan factors only at widths <= 2 or powers of two,
+    and every word index they read is sorted."""
+    scanned = []
+    scan = systems._subst_factors
+    monkeypatch.setattr(systems, "_subst_factors", lambda spec, n: scanned.append(n) or scan(spec, n))
+    index = SubstitutionSpec.word_index
+
+    def sorted_index(spec, width):
+        words, position = index(spec, width)
+        assert list(words) == sorted(words), width
+        return words, position
+
+    monkeypatch.setattr(SubstitutionSpec, "word_index", sorted_index)
+    index.cache_clear()
+    systems._fiber_table.cache_clear()
+    for spec in (fibonacci(), thue_morse()):
+        TowerSequence(spec, base_point(spec)[0]).level(9)
+    assert scanned and all(n <= 2 or not n & (n - 1) for n in scanned), sorted(set(scanned))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(SUBSHIFTS)),
+    st.sampled_from(("primary", "alternate")),
+    st.integers(-500, 500),
+    st.integers(-60, 60),
+    st.integers(0, 40),
+)
+def test_substitution_window_matches_a_direct_expansion(name, which, shift, lo, length):
+    spec = SUBSHIFTS[name]
+    point = base_point(spec, which)[0]
+    left, right = point.left, point.right
+    while min(len(left), len(right)) < 700:
+        left, right = spec.apply_rule(left, point.power), spec.apply_rule(right, point.power)
+    start = shift + lo
+    expected = tuple(right[i] if i >= 0 else left[i] for i in range(start, start + length + 1))
+    assert point.shifted(shift).window(lo, lo + length) == expected
