@@ -31,10 +31,10 @@ from .group import (
     equals,
     identity,
     invert,
-    make_element,
     order,
     shift,
     support,
+    swaps,
 )
 from .lef import lef_map, odometer_structure, verify_lef
 from .sampling import point_inside, random_clopen, random_products
@@ -84,14 +84,8 @@ def criterion_uniqueness(seed: int):
                 v = rng.randrange(len(xi.towers))
                 h = xi.heights()[v]
                 i, j = sorted(rng.sample(range(h), 2))
-                tau = make_element(
-                    spec,
-                    [
-                        (xi.atom(v, i), j - i),
-                        (xi.atom(v, j), i - j),
-                        (xi.atom(v, i).union(xi.atom(v, j)).complement(), 0),
-                    ],
-                )
+                # atom (v, j) is T^(j-i) of atom (v, i)
+                tau = swaps(spec, [(xi.atom(v, i), j - i)])
                 perturbed = compose(fac.permutation.to_element(), tau)
                 remainder = compose(invert(perturbed), s)
                 assert isinstance(is_n_rotation(remainder, xi), Refusal)

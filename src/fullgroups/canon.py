@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clopen import ClopenSet, central_cylinder, union_all
+from .clopen import ClopenSet, central_cylinder
 from .errors import PreconditionError, VerificationError
 from .group import (
     GroupElement,
-    _DEPTH_CAP,
     _build,
     agree_on,
     cocycle_at,
@@ -32,10 +31,12 @@ from .group import (
     commutator,
     compose,
     equals,
+    first_overlap,
     identity,
     invert,
-    make_element,
+    ladder_sizes,
     support,
+    swaps,
 )
 from .systems import PointRep, SystemSpec, base_point
 from .towers import KRPartition, first_return, tower_sequence
@@ -419,16 +420,11 @@ def orbit_counts(q_elem: GroupElement, x: PointRep) -> tuple[int, int]:
     return len(i_minus), len(i_plus)
 
 
-def index(q_elem: GroupElement, x: PointRep | None = None) -> int:
+def index(q_elem: GroupElement) -> int:
     """Index homomorphism value a(Q) - b(Q), cross-checked two ways."""
-    spec = q_elem.spec
-    if x is None:
-        x, _ = base_point(spec, "primary")
-        fac = factorize(q_elem)
-    else:
-        fac = factorize(q_elem, anchor=x)
+    x, _ = base_point(q_elem.spec, "primary")
     a, b = orbit_counts(q_elem, x)
-    s_u, s_d = fac.rotation.supportive_sets()
+    s_u, s_d = factorize(q_elem).rotation.supportive_sets()
     if (a, b) != (len(s_u), len(s_d)):
         raise VerificationError("orbit counts disagree with the rotation levels")
     return a - b
@@ -476,18 +472,13 @@ def kernel_decompose(
     if not i_minus:
         # no crossings: Q already stabilizes the forward orbit of x
         return q_elem, identity(spec)
-    pairs = list(zip(i_minus, i_plus))
     p_floor = -min(i_minus)
     c, p = _find_swap_site(spec, x, y, q, p_floor)
-    raw = []
-    for n_minus, n_plus in pairs:
-        d = n_plus - n_minus
+    blocks = []
+    for n_minus, n_plus in zip(i_minus, i_plus):
         for off in (0, p):
-            raw.append((d, c.translate(n_minus + off)))
-            raw.append((-d, c.translate(n_plus + off)))
-    covered = union_all(spec, (piece for _, piece in raw))
-    raw.append((0, covered.complement()))
-    p2 = make_element(spec, [(piece, d) for d, piece in raw])
+            blocks.append((c.translate(n_minus + off), n_plus - n_minus))
+    p2 = swaps(spec, blocks)
     p1 = compose(q_elem, invert(p2))
     if not in_stabilizer(p1, x):
         raise VerificationError("P1 failed the x-stabilizer check")
@@ -499,21 +490,20 @@ def kernel_decompose(
 def _find_swap_site(spec, x, y, q: int, p_floor: int):
     """Smallest central cylinder C at x and shift p making all swap blocks
     pairwise disjoint and keeping y clear of them."""
-    for depth in range(1, _DEPTH_CAP + 1):
+    for depth in ladder_sizes(1, "swap site"):
         c = central_cylinder(spec, x, depth)
         for p in range(max(p_floor, 1), 4 * q + 1):
             t = c.translate(p)
             if not c.disjoint(t):
                 continue
             yset = c.union(t)
-            if any(not yset.disjoint(yset.translate(l)) for l in range(1, 2 * q + 1)):
+            if first_overlap(yset, range(1, 2 * q + 1)) is not None:
                 continue
             if any(
                 yset.contains_point(y.shifted(-j)) for j in range(-q, q + 1)
             ):
                 continue
             return c, p
-    raise PreconditionError(f"no swap site found within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 def separation_parts(
@@ -526,7 +516,7 @@ def separation_parts(
     if not o.contains_point(x):
         raise PreconditionError("the point must lie inside the witness region")
     rf = first_return(spec, o)
-    for depth in range(1, _DEPTH_CAP + 1):
+    for depth in ladder_sizes(1, "block system"):
         u = central_cylinder(spec, x, depth).intersect(o)
         if not u.contains_point(x):
             continue
@@ -536,27 +526,8 @@ def separation_parts(
         j = _cell_time(rf, u.translate(k))
         if j is None:
             continue
-        blocks = [u, u.translate(k), u.translate(k + j)]
-        if any(
-            not blocks[r].disjoint(blocks[s])
-            for r in range(3)
-            for s in range(r + 1, 3)
-        ):
-            continue
-        sigma = make_element(
-            spec,
-            [(u, k), (u.translate(k), -k), (u.union(u.translate(k)).complement(), 0)],
-        )
-        tau = make_element(
-            spec,
-            [
-                (u.translate(k), j),
-                (u.translate(k + j), -j),
-                (u.translate(k).union(u.translate(k + j)).complement(), 0),
-            ],
-        )
-        return sigma, tau
-    raise PreconditionError(f"no block system found within _DEPTH_CAP = {_DEPTH_CAP}")
+        if first_overlap(u, (k, j, k + j)) is None:
+            return swaps(spec, [(u, k)]), swaps(spec, [(u.translate(k), j)])
 
 
 def _cell_time(rf, u: ClopenSet) -> int | None:

@@ -31,7 +31,7 @@ from .clopen import _expand_words  # noqa: F401
 from .errors import NotPartitionError, PreconditionError
 from .systems import SystemSpec, PointRep, base_point, language
 
-# Largest ladder size the cylinder searches here, and canon's, try.
+# Largest ladder size any cylinder search tries; `ladder_sizes` enforces it.
 _DEPTH_CAP = 64
 
 
@@ -171,14 +171,26 @@ def embed_symmetric(spec: SystemSpec, m: int, perm, u: ClopenSet) -> GroupElemen
         raise PreconditionError(f"{perm!r} is not a permutation of range({m})")
     if u.is_empty():
         raise PreconditionError("block must be nonempty")
+    k = first_overlap(u, range(1, m))
+    if k is not None:
+        raise PreconditionError(f"blocks U and T^{k}U overlap")
     blocks = [u.translate(i) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not blocks[i].disjoint(blocks[j]):
-                raise PreconditionError(f"blocks T^{i}U and T^{j}U overlap")
     raw = [(perm[i] - i, blocks[i]) for i in range(m)]
     rest = full(spec).difference(union_all(spec, blocks))
     raw.append((0, rest))
+    return _build(spec, raw, validate=True)
+
+
+def swaps(spec: SystemSpec, pairs) -> GroupElement:
+    """The involution exchanging each block A with T^k(A), identity elsewhere.
+
+    pairs holds (A, k); the blocks A and T^k(A) of all pairs must be
+    pairwise disjoint, which the validation checks.
+    """
+    raw = []
+    for a, k in pairs:
+        raw += [(k, a), (-k, a.translate(k))]
+    raw.append((0, union_all(spec, (c for _, c in raw)).complement()))
     return _build(spec, raw, validate=True)
 
 
@@ -190,19 +202,29 @@ def element_hash(s: GroupElement) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def first_overlap(u: ClopenSet, offsets) -> int | None:
+    """The first k in offsets with U ∩ T^k(U) nonempty, or None.
+
+    T is a bijection, so T^iU and T^jU are disjoint iff U and T^(j-i)U are.
+    """
+    return next((k for k in offsets if not u.disjoint(u.translate(k))), None)
+
+
+def ladder_sizes(start: int, what: str):
+    """Ladder sizes start, start + 1, ..., _DEPTH_CAP for a search; once they
+    run out, the search has failed and this raises."""
+    yield from range(start, _DEPTH_CAP + 1)
+    raise PreconditionError(f"no {what} found within _DEPTH_CAP = {_DEPTH_CAP}")
+
+
 def disjoint_cylinder_block(spec: SystemSpec, m: int) -> ClopenSet:
     """Smallest central cylinder U around the primary point with
     U, TU, ..., T^(m-1)U pairwise disjoint. Deterministic."""
     point, _ = base_point(spec, "primary")
-    size = 1
-    while True:
+    for size in ladder_sizes(1, "disjoint block"):
         u = central_cylinder(spec, point, size)
-        blocks = [u.translate(i) for i in range(m)]
-        if all(blocks[i].disjoint(blocks[j]) for i in range(m) for j in range(i + 1, m)):
+        if first_overlap(u, range(1, m)) is None:
             return u
-        size += 1
-        if size > _DEPTH_CAP:
-            raise PreconditionError(f"no disjoint block found within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
@@ -213,17 +235,13 @@ def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
     rest = used.complement()
     if rest.is_empty():
         raise PreconditionError("nothing left to carve")
-    size = spec.floor
-    while True:
+    for size in ladder_sizes(spec.floor, "proper cylinder to carve"):
         lo, hi = spec.ladder_window(size)
         words = sorted(
             w for w in language(spec, hi - lo + 1) if cylinder(spec, w, lo).subset(rest)
         )
         if len(words) >= 2:
             return cylinder(spec, words[0], lo)
-        size += 1
-        if size > _DEPTH_CAP:
-            raise PreconditionError(f"carving failed within _DEPTH_CAP = {_DEPTH_CAP}")
 
 
 def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
@@ -249,24 +267,14 @@ def _directsum_step(spec: SystemSpec, k: int) -> tuple[GroupElement, ClopenSet]:
     # inside cyl, find a return cell and a sub-cylinder moved off itself
     rf = first_return(spec, cyl)
     t = min(rf.cells)
-    cell = rf.cells[t]
-    depth = spec.floor
-    b_prime = None
-    while b_prime is None:
+    for depth in ladder_sizes(spec.floor, "separated sub-cylinder"):
         lo, hi = spec.ladder_window(depth)
         for w in sorted(language(spec, hi - lo + 1)):
-            cand = cylinder(spec, w, lo).intersect(cell)
-            if cand.is_empty():
-                continue
-            if cand.translate(t).disjoint(cand):
-                b_prime = cand
-                break
-        depth += 1
-        if depth > _DEPTH_CAP:
-            raise PreconditionError(f"no separated sub-cylinder within _DEPTH_CAP = {_DEPTH_CAP}")
-    b_second = b_prime.translate(t)
-    gen = compose(induced(spec, b_prime), invert(induced(spec, b_second)))
-    return gen, used.union(b_prime).union(b_second)
+            b_prime = cylinder(spec, w, lo).intersect(rf.cells[t])
+            if not b_prime.is_empty() and b_prime.translate(t).disjoint(b_prime):
+                b_second = b_prime.translate(t)
+                gen = compose(induced(spec, b_prime), invert(induced(spec, b_second)))
+                return gen, used.union(b_prime).union(b_second)
 
 
 # -- agreement on a set, used by the canonical-form machinery --------------

@@ -28,11 +28,11 @@ from .group import (
     commutator,
     compose,
     element_hash,
-    embed_symmetric,
     equals,
     identity,
     is_identity,
     make_element,
+    swaps,
 )
 from .systems import SystemSpec, base_point
 from .towers import KRPartition, central_level, induced
@@ -184,15 +184,8 @@ def _witness_at(spec, f_set, squares, n) -> LEFWitness | None:
     table = tuple((s, fac.permutation.perms) for s, fac in zip(squares, facs))
     if not all(_inverse_agreement(desc, h, d) for _, h in table):
         return None
-    images = dict(table)
-    injective = len(set(images.values())) == len(images)
-    multiplicative = all(
-        desc.compose(images[s], images[t]) == images[compose(s, t)]
-        for s in f_set for t in f_set
-    )
-    if not (injective and multiplicative):
-        return None
-    return LEFWitness(f_set, squares, n, desc, table)
+    w = LEFWitness(f_set, squares, n, desc, table)
+    return w if verify_lef(w).ok else None
 
 
 @dataclass(frozen=True)
@@ -210,11 +203,12 @@ def verify_lef(w: LEFWitness) -> Report:
     """Re-check injectivity on F and multiplicativity on F×F pair by pair,
     after checking that every table image is a level permutation of H."""
     desc = w.group
+    names = {s: element_hash(s) for s in (*w.squares, *w.elements, *w.images)}
     outside = [s for s, h in w.table if not desc.contains(h)]
     if outside:
         heights = ",".join(str(h) for h in desc.heights)
         return Report(False, tuple(
-            f"image of {element_hash(s)} in H (tower heights {heights}): FAIL" for s in outside
+            f"image of {names[s]} in H (tower heights {heights}): FAIL" for s in outside
         ))
     lines = []
     ok = True
@@ -222,20 +216,14 @@ def verify_lef(w: LEFWitness) -> Report:
         for t in w.squares[i + 1:]:
             distinct = w.image(s) != w.image(t)
             ok = ok and distinct
-            lines.append(
-                f"distinct {element_hash(s)} {element_hash(t)}: "
-                f"{'ok' if distinct else 'FAIL'}"
-            )
+            lines.append(f"distinct {names[s]} {names[t]}: {'ok' if distinct else 'FAIL'}")
     for s in w.elements:
         for t in w.elements:
             # a member or product missing from the table fails its line
             hs, ht, hst = (w.images.get(u) for u in (s, t, compose(s, t)))
             good = None not in (hs, ht, hst) and desc.compose(hs, ht) == hst
             ok = ok and good
-            lines.append(
-                f"product {element_hash(s)}*{element_hash(t)}: "
-                f"{'ok' if good else 'FAIL'}"
-            )
+            lines.append(f"product {names[s]}*{names[t]}: {'ok' if good else 'FAIL'}")
     return Report(ok, tuple(lines))
 
 
@@ -285,7 +273,7 @@ def odometer_structure(
 
     realized = 0
     for i in range(m - 1):
-        s = embed_symmetric(spec, 2, (1, 0), xi.atom(0, i))
+        s = swaps(spec, [(xi.atom(0, i), 1)])
         form = is_n_permutation(s, xi)
         want = tuple(
             i + 1 if j == i else i if j == i + 1 else j for j in range(m)

@@ -560,11 +560,8 @@ class SubstitutionPoint:
             return self
         return SubstitutionPoint(self.spec, self.left, self.right, self.power, self.shift + n)
 
-    def orbit_certificate(self) -> bool:
-        return False  # no distinct-orbit certification procedure for subshifts
-
     def certified_apart(self, other: "SubstitutionPoint") -> bool:
-        return False
+        return False  # no distinct-orbit certification procedure for subshifts
 
 
 PointRep = OdometerPoint | SubstitutionPoint

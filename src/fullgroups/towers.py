@@ -31,8 +31,6 @@ _RETURN_CEILING = 1 << 20
 class ReturnFunction:
     """First-return time function of a clopen set, as its level cells."""
 
-    spec: SystemSpec
-    base: ClopenSet
     cells: dict = field(hash=False)  # return time k -> clopen cell
 
 
@@ -43,7 +41,7 @@ def first_return(spec: SystemSpec, a: ClopenSet) -> ReturnFunction:
     for k, win, bit in _return_cells(spec, a):
         cells[k] = (cells.get(k, (0,))[0] | bit, win)
     cells = {k: ClopenSet._canonical(spec, *cells[k]) for k in sorted(cells)}
-    return ReturnFunction(spec, a, cells)
+    return ReturnFunction(cells)
 
 
 def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, int], int]]:

@@ -9,6 +9,8 @@ import pytest
 
 from fullgroups import cli
 from fullgroups.formats import render_lef_witness
+from fullgroups.lef import odometer_structure
+from fullgroups.systems import make_system
 
 
 @pytest.fixture
@@ -345,3 +347,16 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     probe = 'import sys, fullgroups.cli; assert "fullgroups.acceptance" not in sys.modules'
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def test_odometer_structure_prints_the_report(ws, capsys):
+    tmp, run = ws
+    capsys.readouterr()
+    assert run("odometer-structure", "--system", "odo2", "--n", "3") == 0
+    want = odometer_structure(make_system({"kind": "odometer", "bases": [2]}), 3, seed=0)
+    assert capsys.readouterr().out == want.text() + "\n"
+
+
+def test_odometer_structure_refuses_a_subshift(ws):
+    tmp, run = ws
+    assert run("odometer-structure", "--system", "fib", "--n", "3") == 2

@@ -12,6 +12,10 @@ compares the result with Q. On the five-system matrix both accept what
   one tower, as on the odometers: there T^{h_v} maps each atom onto
   itself, so the mutated Q is still an element, and its permutation
   reduced mod h_v is P's.
+
+Each refusal of the table check is also reached by one fixed mutation,
+and its message names the check that refused. The oracle refuses all but
+the band-agreement one, where Q = P∘R still holds.
 """
 
 import dataclasses
@@ -20,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fullgroups.canon import _check_factorization, factorize
+from fullgroups.clopen import cylinder
 from fullgroups.errors import PreconditionError, VerificationError
-from fullgroups.group import compose, equals, make_element, shift
+from fullgroups.group import compose, equals, identity, make_element, shift, swaps
 from fullgroups.sampling import random_products
 from fullgroups.systems import make_system
 
@@ -122,8 +127,13 @@ def wrapped_atom(fac, pick):
     up = {h - 1 - a for a, _ in fac.rotation.u_levels}
     down = {b for b, _ in fac.rotation.d_levels}
     i = pick([i for i in range(h) if i not in up | down])
-    atom = xi.atom(0, i)
-    w = make_element(xi.spec, [(atom, pick([h, -h])), (atom.complement(), 0)])
+    return _wrapped(fac, i, pick([h, -h]))
+
+
+def _wrapped(fac, i, power):
+    """Q∘W, where W is T^power on atom i of the one tower and the identity off it."""
+    atom = fac.xi.atom(0, i)
+    w = make_element(fac.xi.spec, [(atom, power), (atom.complement(), 0)])
     return dataclasses.replace(fac, element=compose(fac.element, w))
 
 
@@ -174,3 +184,84 @@ def test_a_wrapped_atom_keeps_the_permutation_mod_h(name):
     wrapped = [(i + f) % h for i, (f,) in enumerate(row)]
     assert tuple(wrapped) == fac.permutation.perms[0]
     assert not equals(bad.element, fac.element)
+
+
+ODO2 = SYSTEMS["odometer-2"]
+ODO3 = make_system({"kind": "odometer", "bases": [3]})
+FIB = SYSTEMS["fibonacci"]
+
+
+def _with(fac, n0=None, perms=None, **rotation):
+    """fac with n0, the permutation's perms or the rotation's levels replaced."""
+    return dataclasses.replace(
+        fac,
+        n0=fac.n0 if n0 is None else n0,
+        permutation=dataclasses.replace(fac.permutation, perms=perms or fac.permutation.perms),
+        rotation=dataclasses.replace(fac.rotation, **rotation),
+    )
+
+
+def _finer_element():
+    # T^2 on [2] factorizes at level 2 (one tower of height 8, atoms of depth 3);
+    # a swap of a depth-6 cylinder is not constant on the atom that holds it
+    fac = factorize(shift(ODO2, 2))
+    return dataclasses.replace(fac, element=swaps(ODO2, [(cylinder(ODO2, (0,) * 6), 1)]))
+
+
+def _repeated_entry():
+    fac = factorize(shift(ODO2, 2))
+    (pv,) = fac.permutation.perms
+    return _with(fac, perms=((pv[0],) + pv[:-1],))
+
+
+def _band_past_half_height():
+    # height 8: band 4 reaches the middle of the tower
+    return _with(factorize(shift(ODO2, 2)), n0=5, u_levels=((4, 1),))
+
+
+def _shared_band_atom():
+    # T on [3] factorizes at level 1, height 9: U band 4 and D band 4 are atom 4
+    return _with(factorize(shift(ODO3, 1)), n0=5, u_levels=((4, 1),), d_levels=((4, -1),))
+
+
+def _wrapped_u_band():
+    fac = factorize(shift(ODO2, 2))
+    (h,) = fac.xi.heights()
+    return _wrapped(fac, h - 1, h)  # the atom of U band 0
+
+
+def _wrapped_d_band():
+    fac = factorize(shift(ODO2, -2))
+    (h,) = fac.xi.heights()
+    return _wrapped(fac, 0, h)  # the atom of D band 0
+
+
+def _transposed_in_one_tower():
+    # the identity on Fibonacci factorizes at level 1, towers of heights 8 and 13;
+    # swapping the two bottom atoms of tower 0 only moves band 0 in one tower
+    fac = factorize(identity(FIB))
+    pv0, pv1 = fac.permutation.perms
+    element = swaps(FIB, [(fac.xi.atom(0, 0), 1)])
+    return dataclasses.replace(_with(fac, perms=((1, 0) + pv0[2:], pv1)), element=element)
+
+
+REFUSALS = {
+    "Q's cocycle is not constant on atom": _finer_element,
+    "P is not a within-tower permutation": _repeated_entry,
+    "a rotation band exceeds the shortest tower": _band_past_half_height,
+    "a U band and a D band share an atom": _shared_band_atom,
+    "P∘R does not reproduce Q on U band 0": _wrapped_u_band,
+    "P∘R does not reproduce Q on D band 0": _wrapped_d_band,
+    "band permutation disagrees across towers": _transposed_in_one_tower,
+}
+# Q = P∘R holds there, so only the table check sees the broken form
+FORM_ONLY = {"band permutation disagrees across towers"}
+
+
+@pytest.mark.parametrize("message", sorted(REFUSALS), ids=lambda m: REFUSALS[m].__name__[1:])
+def test_each_refusal_names_its_check(message):
+    bad = REFUSALS[message]()
+    with pytest.raises(VerificationError) as err:
+        _check_factorization(bad)
+    assert str(err.value).startswith(message)
+    assert oracle_accepts(bad) == (message in FORM_ONLY)

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from fullgroups.clopen import cylinder, empty, full
 from fullgroups.errors import NotPartitionError, PreconditionError
+from fullgroups import canon, group
 from fullgroups.group import (
     agree_on,
     cocycle_at,
     cocycle_bound,
     commutator,
     compose,
+    directsum_generator,
     disjoint_cylinder_block,
     embed_symmetric,
     equals,
@@ -22,6 +24,7 @@ from fullgroups.group import (
     order,
     shift,
     support,
+    swaps,
 )
 from fullgroups.systems import base_point, make_system
 from oracles import cocycle_table, cocycle_values_on
@@ -205,3 +208,56 @@ def test_cocycle_law(p1, p2):
         )
         q = p.shifted(cocycle_at(invert(s1), p))
         assert cocycle_at(invert(s1), p) == -cocycle_at(s1, q)
+
+
+def test_swaps_is_the_hand_built_involution():
+    u = cylinder(ODO2, (0, 0, 0))
+    s = swaps(ODO2, [(u, 1), (u.translate(4), 2)])
+    blocks = [u, u.translate(1), u.translate(4), u.translate(6)]
+    rest = full(ODO2).difference(blocks[0].union(blocks[1]).union(blocks[2]).union(blocks[3]))
+    by_hand = make_element(
+        ODO2, [(blocks[0], 1), (blocks[1], -1), (blocks[2], 2), (blocks[3], -2), (rest, 0)]
+    )
+    assert equals(s, by_hand)
+    assert is_identity(compose(s, s))
+    with pytest.raises(NotPartitionError):
+        swaps(ODO2, [(cylinder(ODO2, (0,)), 2)])  # T^2[0] = [0]
+
+
+@pytest.fixture
+def fresh_caches():
+    group._directsum_step.cache_clear()
+    yield
+    group._directsum_step.cache_clear()
+
+
+def _kernel_element():
+    # swaps [11] and T[11] = [00]: the points T^-1 x and x cross the anchor x = 0^inf
+    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, (1, 1)))
+    return canon.kernel_decompose(s)
+
+
+CAPPED_SEARCHES = {
+    "disjoint_cylinder_block": lambda: disjoint_cylinder_block(ODO2, 3),
+    "kernel_decompose": _kernel_element,
+    "separation_witness": lambda: canon.separation_witness(
+        ODO2, cylinder(ODO2, (0,)), base_point(ODO2, "primary")[0]
+    ),
+    "directsum_generator": lambda: directsum_generator(ODO2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SEARCHES))
+def test_every_cylinder_search_stops_at_the_depth_cap(name, monkeypatch, fresh_caches):
+    CAPPED_SEARCHES[name]()  # succeeds at the default cap
+    group._directsum_step.cache_clear()
+    monkeypatch.setattr(group, "_DEPTH_CAP", 0)
+    with pytest.raises(PreconditionError, match="within _DEPTH_CAP = 0$"):
+        CAPPED_SEARCHES[name]()
+
+
+def test_a_sub_cylinder_found_at_the_cap_is_kept(monkeypatch, fresh_caches):
+    # on [2] the first separated sub-cylinder of the carved [0] has depth 2
+    monkeypatch.setattr(group, "_DEPTH_CAP", 2)
+    gen = directsum_generator(ODO2, 1)
+    assert support(gen) == cylinder(ODO2, (0, 0)).union(cylinder(ODO2, (0, 1)))

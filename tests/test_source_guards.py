@@ -6,6 +6,8 @@
   shape, differs between odometers and subshifts; there are 8 such places.
 - Every dataclass field is read somewhere in `src/`; a field nothing
   reads is dead data.
+- `_DEPTH_CAP` is read only by `group.ladder_sizes`, the one generator
+  that bounds every cylinder search; a search with its own bound fails here.
 """
 
 import ast
@@ -101,3 +103,20 @@ def test_every_dataclass_field_is_read_in_src():
     }
     unread = {f for f in fields if f[1] not in loaded} - UNREAD_FIELDS_ALLOWED
     assert not unread, sorted(unread)
+
+
+def _depth_cap_reads(node, owner=None):
+    """The enclosing function of each load or import of `_DEPTH_CAP` under node."""
+    for child in ast.iter_child_nodes(node):
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(child))
+        # a name, `module._DEPTH_CAP` or an import, but not the assignment
+        stored = isinstance(getattr(child, "ctx", None), ast.Store)
+        if field and getattr(child, field) == "_DEPTH_CAP" and not stored:
+            yield owner
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _depth_cap_reads(child, inner)
+
+
+def test_the_depth_cap_is_read_in_one_function():
+    reads = {(module, owner) for module, tree in _modules() for owner in _depth_cap_reads(tree)}
+    assert reads == {("group", "ladder_sizes")}
