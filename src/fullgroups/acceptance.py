@@ -231,17 +231,12 @@ def criterion_separation(seed: int):
 
 def _brute_return_time(spec, word, target) -> int | None:
     # least k >= 1 with T^k(point) back in the target cylinder, read off
-    # the window alone; None when the window cannot decide
+    # the window alone; None when the window cannot decide. Carries move
+    # only toward higher digits, so digit 0 of T^k x is x_0 + k mod p_1.
     if spec.kind == "odometer":
-        digits = list(word)
+        p = spec.base_at(0)
         for k in range(1, len(word) + 1):
-            carry = k
-            out = []
-            for i, d in enumerate(digits):
-                base = spec.bases[i % len(spec.bases)]
-                carry, r = divmod(d + carry, base)
-                out.append(r)
-            if out[0] == target:
+            if (int(word[0]) + k) % p == int(target):
                 return k
         return None
     for k in range(1, len(word)):
@@ -253,18 +248,18 @@ def _brute_return_time(spec, word, target) -> int | None:
 def criterion_first_return(seed: int):
     """First-return cells match a brute-force window-tracing oracle."""
     width = 12
-    for digit in (0, 1):
-        rf = first_return(ODO2, cylinder(ODO2, (digit,)))
+    for digit in "01":
+        rf = first_return(ODO2, cylinder(ODO2, digit))
         assert set(rf.cells) == {2}
-        assert rf.cells[2] == cylinder(ODO2, (digit,))
+        assert rf.cells[2] == cylinder(ODO2, digit)
         for word in sorted(language(ODO2, width)):
             if word[0] != digit:
                 continue
             assert _brute_return_time(ODO2, word, digit) == 2
-    rf = first_return(FIB, cylinder(FIB, ("a",)))
+    rf = first_return(FIB, cylinder(FIB, "a"))
     assert set(rf.cells) == {1, 2}
-    assert rf.cells[1] == cylinder(FIB, ("a", "a"))
-    assert rf.cells[2] == cylinder(FIB, ("a", "b"))
+    assert rf.cells[1] == cylinder(FIB, "aa")
+    assert rf.cells[2] == cylinder(FIB, "ab")
     buckets = {1: [], 2: []}
     for word in sorted(language(FIB, width)):
         if word[0] != "a":

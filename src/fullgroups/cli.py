@@ -183,7 +183,7 @@ def cmd_element(ws: Workspace, args) -> int:
     k = cocycle_at(s, x)
     lo, hi = (0, 7) if spec.kind == "odometer" else (-4, 7)
     print(f"power {k}")
-    print(f"image[{lo}..{hi}] {spec.render_word(x.shifted(k).window(lo, hi))}")
+    print(f"image[{lo}..{hi}] {x.shifted(k).window(lo, hi)}")
     return 0
 
 

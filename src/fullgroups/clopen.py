@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotPartitionError, PreconditionError
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
-from .systems import SystemSpec, PointRep, Word, language, point_window  # noqa: F401
+from .systems import SystemSpec, PointRep, language, point_window  # noqa: F401
 
 
 class WordMask(int):
@@ -170,7 +170,7 @@ class ClopenSet:
     def word_count(self) -> int:
         return self.mask.bit_count()
 
-    def lex_least_word(self) -> Word:
+    def lex_least_word(self) -> str:
         if self.is_empty():
             raise PreconditionError("empty set has no words")
         return min(self._decode())
@@ -181,15 +181,14 @@ class ClopenSet:
         return f"ClopenSet({self.word_count()} words on [{self.lo},{self.hi}])"
 
 
-def cylinder(spec: SystemSpec, word, offset: int = 0) -> ClopenSet:
+def cylinder(spec: SystemSpec, word: str, offset: int = 0) -> ClopenSet:
     """Points whose coordinates [offset, offset+len(word)-1] spell the word.
 
     An inadmissible word yields the empty set. Odometers fix an initial digit
     block, so the offset must be 0 for them.
     """
-    word = tuple(word)
-    if not word:
-        raise PreconditionError("cylinder word must be nonempty")
+    if not isinstance(word, str) or not word:
+        raise PreconditionError(f"cylinder word must be a nonempty string, not {word!r}")
     win = spec.word_window(offset, len(word))
     if not spec.word_admissible(word):
         return empty(spec)

@@ -24,9 +24,7 @@ def render_clopen(c: ClopenSet) -> str:
         return "EMPTY"
     if c.is_full():
         return "FULL"
-    return " + ".join(
-        f"{c.spec.render_word(w)}@{c.lo}" for w in c.sorted_words()
-    )
+    return " + ".join(f"{w}@{c.lo}" for w in c.sorted_words())
 
 
 def parse_clopen(text: str, spec: SystemSpec) -> ClopenSet:

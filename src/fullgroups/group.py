@@ -195,9 +195,12 @@ def swaps(spec: SystemSpec, pairs) -> GroupElement:
 
 
 def element_hash(s: GroupElement) -> str:
-    """Stable 16-hex-digit digest of the canonical piece data."""
+    """Stable 16-hex-digit digest of the canonical piece data. Words enter
+    as `spec.symbols` tuples, int digits on odometers: the pinned digests
+    were taken over that encoding."""
+    symbols = s.spec.symbols
     blob = repr(
-        (s.spec, tuple((p, c.lo, c.hi, tuple(c.sorted_words())) for p, c in s.pieces))
+        (s.spec, tuple((p, c.lo, c.hi, tuple(map(symbols, c.sorted_words()))) for p, c in s.pieces))
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -31,7 +31,7 @@ _POINT_SEARCH_CAP = 4096
 @cache
 def generator_pool(spec: SystemSpec) -> list:
     t = shift(spec, 1)
-    first = (0,) if spec.kind == "odometer" else (spec.alphabet[0],)
+    first = "0" if spec.kind == "odometer" else spec.alphabet[0]
     return [
         t,
         invert(t),
@@ -65,9 +65,7 @@ def random_clopen(
     for _ in range(rng.randint(1, pieces)):
         length = rng.randint(1, depth)
         if spec.kind == "odometer":
-            word = tuple(
-                rng.randrange(spec.bases[i % len(spec.bases)]) for i in range(length)
-            )
+            word = "".join(str(rng.randrange(spec.base_at(i))) for i in range(length))
             parts.append(cylinder(spec, word))
         else:
             word = rng.choice(sorted(language(spec, length)))

@@ -2,8 +2,10 @@
 
 Both kinds expose the same small surface used by the rest of the package:
 admissible words over finite index windows, computable base points, and the
-translation action of T on finite words. Words are tuples of symbols, with
-int digits for odometers and single-character strings for subshifts.
+translation action of T on finite words. A word is a string with one
+character per symbol: a digit for odometers (bases stop at 10) and a letter
+for subshifts. `symbols` gives its tuple form, read only by
+`group.element_hash`, whose pinned digests hash int digits on odometers.
 
 Odometers are one-sided (coordinates 0, 1, 2, ...) and T adds 1 with carry at
 position 0. Substitution subshifts are two-sided and T is the left shift,
@@ -41,7 +43,7 @@ from math import lcm, prod
 
 from .errors import ParseError, PreconditionError, SystemConfigError
 
-Word = tuple  # tuple of int digits (odometer) or 1-char strings (subshift)
+_DIGITS = "0123456789"
 
 # Widest odometer window, in digit words, that is enumerated or held as a
 # mask: an int of this many bits is 512 KiB.
@@ -81,36 +83,32 @@ class OdometerSpec:
         cycles, rest = divmod(depth, len(self.bases))
         return prod(self.bases) ** cycles * prod(self.bases[:rest])
 
-    def word_value(self, w: Word) -> int:
+    def word_value(self, w: str) -> int:
         """Integer encoded by a digit word, least significant digit first."""
         v, scale = 0, 1
         for i, d in enumerate(w):
-            v += d * scale
+            v += int(d) * scale
             scale *= self.base_at(i)
         return v
 
-    def value_word(self, v: int, depth: int) -> Word:
+    def value_word(self, v: int, depth: int) -> str:
         digits = []
         for i in range(depth):
-            p = self.base_at(i)
-            digits.append(v % p)
-            v //= p
-        return tuple(digits)
+            v, d = divmod(v, self.base_at(i))
+            digits.append(_DIGITS[d])
+        return "".join(digits)
 
-    def render_word(self, w: Word) -> str:
-        return "".join(str(d) for d in w)
+    def symbols(self, w: str) -> tuple[int, ...]:
+        return tuple(map(int, w))
 
-    def parse_word(self, text: str) -> Word:
-        if not (text.isascii() and text.isdigit()):
-            raise ParseError(f"bad odometer word {text!r}")
-        word = tuple(int(c) for c in text)
-        for i, d in enumerate(word):
-            if d >= self.base_at(i):
-                raise ParseError(f"digit {d} too large at position {i} in {text!r}")
-        return word
+    def parse_word(self, text: str) -> str:
+        if not text or not self.word_admissible(text):
+            raise ParseError(f"bad odometer word {text!r} for bases {list(self.bases)}")
+        return text
 
-    def word_admissible(self, w: Word) -> bool:
-        return all(isinstance(d, int) and 0 <= d < self.base_at(i) for i, d in enumerate(w))
+    def word_admissible(self, w: str) -> bool:
+        """Every character is an ASCII digit below the base of its position."""
+        return all(d in _DIGITS[: self.base_at(i)] for i, d in enumerate(w))
 
     # -- window geometry ---------------------------------------------------
 
@@ -144,7 +142,7 @@ class OdometerSpec:
     def full_mask(self, width: int) -> int:
         return (1 << self.mask_width(width)) - 1
 
-    def word_bit(self, w: Word, width: int) -> int:
+    def word_bit(self, w: str, width: int) -> int:
         return self.word_value(w)
 
     def encode(self, words, width: int) -> int:
@@ -183,9 +181,21 @@ class OdometerSpec:
 
     def base_point(self, which: str):
         if which == "primary":
-            return OdometerPoint(self, (), (0,)), True
-        pt = OdometerPoint(self, (), (1, 0))
+            return self.point((), (0,)), True
+        pt = self.point((), (1, 0))
         return pt, pt.orbit_certificate()
+
+    def point(self, pre: tuple[int, ...], period: tuple[int, ...]) -> "OdometerPoint":
+        """The point with digit stream pre.period^inf, checked here once:
+        `shifted` moves only the orbit offset."""
+        if not period:
+            raise PreconditionError("point needs a nonempty periodic tail")
+        pt = OdometerPoint(self, pre, period)
+        for i in range(len(pre) + lcm(len(period), len(self.bases))):
+            d = pt.digit(i)
+            if not 0 <= d < self.base_at(i):
+                raise PreconditionError(f"digit {d} invalid at position {i}")
+        return pt
 
 
 @dataclass(frozen=True)
@@ -231,17 +241,17 @@ class SubstitutionSpec:
             w = "".join(rm[c] for c in w)
         return w
 
-    def render_word(self, w: Word) -> str:
-        return "".join(w)
+    def symbols(self, w: str) -> tuple[str, ...]:
+        return tuple(w)
 
-    def parse_word(self, text: str) -> Word:
+    def parse_word(self, text: str) -> str:
         letters = set(self.alphabet)
         if not text or any(c not in letters for c in text):
             raise ParseError(f"bad word {text!r} for alphabet {sorted(letters)}")
-        return tuple(text)
+        return text
 
-    def word_admissible(self, w: Word) -> bool:
-        return "".join(w) in self.word_index(len(w))[1]
+    def word_admissible(self, w: str) -> bool:
+        return w in self.word_index(len(w))[1]
 
     # -- window geometry ---------------------------------------------------
 
@@ -277,15 +287,15 @@ class SubstitutionSpec:
     def full_mask(self, width: int) -> int:
         return (1 << len(self.word_index(width)[0])) - 1
 
-    def word_bit(self, w: Word, width: int) -> int:
-        return self.word_index(width)[1]["".join(w)]
+    def word_bit(self, w: str, width: int) -> int:
+        return self.word_index(width)[1][w]
 
     def encode(self, words, width: int) -> int:
         return reduce(lambda m, w: m | 1 << self.word_bit(w, width), words, 0)
 
     def decode(self, mask: int, width: int) -> list:
         words = self.word_index(width)[0]
-        return [tuple(words[i]) for i in _bits(mask)]
+        return [words[i] for i in _bits(mask)]
 
     def expand_mask(self, mask: int, width: int, a: int, b: int) -> int:
         """Mask of the admissible width-words w with w[a:b] in the set."""
@@ -427,7 +437,7 @@ def make_system(desc: dict) -> SystemSpec:
 
 @cache
 def language(spec: SystemSpec, length: int) -> frozenset:
-    """All admissible words of the given length (as tuples)."""
+    """All admissible words of the given length, as strings."""
     if length < 1:
         raise PreconditionError("word length must be >= 1")
     return frozenset(spec.decode(spec.full_mask(length), length))
@@ -469,6 +479,8 @@ class OdometerPoint:
 
     Carries only move toward higher digits, so the first d digits of T^n x
     are the d-digit word of value (x + n) mod p_1 * ... * p_d.
+
+    Streams come from `OdometerSpec.point`, which checks them once.
     """
 
     spec: OdometerSpec
@@ -478,29 +490,20 @@ class OdometerPoint:
 
     kind = "odometer"
 
-    def __post_init__(self):
-        if not self.period:
-            raise PreconditionError("point needs a nonempty periodic tail")
-        span = len(self.pre) + lcm(len(self.period), len(self.spec.bases))
-        for i in range(span):
-            d = self.digit(i)
-            if not 0 <= d < self.spec.base_at(i):
-                raise PreconditionError(f"digit {d} invalid at position {i}")
-
     def digit(self, i: int) -> int:
         """Digit i of the unshifted stream."""
         if i < len(self.pre):
             return self.pre[i]
         return self.period[(i - len(self.pre)) % len(self.period)]
 
-    def window(self, lo: int, hi: int) -> Word:
+    def window(self, lo: int, hi: int) -> str:
         if lo < 0:
             raise PreconditionError("odometer coordinates start at 0")
-        word = tuple(self.digit(i) for i in range(hi + 1))
-        if self.shift:
-            v = (self.spec.word_value(word) + self.shift) % self.spec.block_size(hi + 1)
-            word = self.spec.value_word(v, hi + 1)
-        return word[lo:]
+        v, size = self.shift, 1
+        for i in range(hi + 1):
+            v += self.digit(i) * size
+            size *= self.spec.base_at(i)
+        return self.spec.value_word(v % size, hi + 1)[lo:]
 
     def shifted(self, n: int) -> "OdometerPoint":
         """T^n of this point."""
@@ -549,11 +552,11 @@ class SubstitutionPoint:
             k += 1
         return word
 
-    def window(self, lo: int, hi: int) -> Word:
+    def window(self, lo: int, hi: int) -> str:
         lo, hi = lo + self.shift, hi + self.shift
         lw = self._expand(self.left, -lo)
         rw = self._expand(self.right, hi + 1)
-        return tuple((lw + rw)[len(lw) + lo : len(lw) + hi + 1])
+        return (lw + rw)[len(lw) + lo : len(lw) + hi + 1]
 
     def shifted(self, n: int) -> "SubstitutionPoint":
         if n == 0:
@@ -583,7 +586,7 @@ def _fixed_point_seeds(spec: SubstitutionSpec):
             for right in sorted(spec.alphabet):
                 if not spec.apply_rule(right, power).startswith(right):
                     continue
-                if (left, right) in language(spec, 2):
+                if spec.word_admissible(left + right):
                     yield left, right, power
 
 
@@ -600,7 +603,7 @@ def base_point(spec: SystemSpec, which: str = "primary") -> tuple[PointRep, bool
     return spec.base_point(which)
 
 
-def point_window(p: PointRep, lo: int, hi: int) -> Word:
+def point_window(p: PointRep, lo: int, hi: int) -> str:
     """Coordinates x[lo..hi] of the point, exact."""
     if lo > hi:
         raise PreconditionError("window must satisfy lo <= hi")

@@ -24,7 +24,7 @@ def _load_tracer():
 
 def test_tracer_finds_every_boundary_and_counts_shrink_input(tmp_path):
     tracing = _load_tracer()
-    a, b = cylinder(O2, (0, 0)), cylinder(O2, (0, 1))
+    a, b = cylinder(O2, "00"), cylinder(O2, "01")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -34,7 +34,7 @@ def test_tracer_finds_every_boundary_and_counts_shrink_input(tmp_path):
         tracer.enabled = False
     finally:
         tracer.uninstall()
-    assert union == cylinder(O2, (0,))
+    assert union == cylinder(O2, "0")
     tracer.dump(str(tmp_path / "spans.json"))
     totals = tracing.Totals()
     totals.add(tracing.load(str(tmp_path / "spans.json")))

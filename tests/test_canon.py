@@ -50,7 +50,7 @@ def sample_pool(spec):
     t = shift(spec, 1)
     u3 = disjoint_cylinder_block(spec, 3)
     u2 = disjoint_cylinder_block(spec, 2)
-    a = cylinder(spec, (0,)) if spec.kind == "odometer" else cylinder(spec, ("a",))
+    a = cylinder(spec, "0") if spec.kind == "odometer" else cylinder(spec, "a")
     return [
         t,
         invert(t),
@@ -124,9 +124,9 @@ def test_index_oracles():
         t = shift(spec, 1)
         assert index(t) == 1
         assert index(invert(t)) == -1
-        a = cylinder(spec, (0,)) if spec.kind == "odometer" else cylinder(spec, ("a",))
+        a = cylinder(spec, "0") if spec.kind == "odometer" else cylinder(spec, "a")
         assert index(induced(spec, a)) == 1
-    u = cylinder(ODO2, (0, 0))
+    u = cylinder(ODO2, "00")
     assert index(embed_symmetric(ODO2, 2, (1, 0), u)) == 0
 
 
@@ -156,9 +156,9 @@ def test_stabilizer_matches_rotation_part():
 
 def test_in_stabilizer():
     assert not in_stabilizer(shift(ODO2, 1))
-    u = cylinder(ODO2, (0, 0))
+    u = cylinder(ODO2, "00")
     assert in_stabilizer(embed_symmetric(ODO2, 2, (1, 0), u))
-    assert not in_stabilizer(induced(ODO2, cylinder(ODO2, (0,))))
+    assert not in_stabilizer(induced(ODO2, cylinder(ODO2, "0")))
 
 
 def test_band_generators_are_induced_maps():
@@ -200,7 +200,7 @@ def test_rotation_recognizer():
     assert form.d_levels == ((1, 1),)
     assert equals(form.to_element(), s)
     # a transposition inside the towers breaks the rotation shape
-    u = cylinder(ODO2, (0, 0, 0, 0))
+    u = cylinder(ODO2, "0000")
     pert = compose(s, embed_symmetric(ODO2, 2, (1, 0), u))
     assert isinstance(is_n_rotation(pert, xi), Refusal)
 
@@ -220,7 +220,7 @@ def test_forms_exclude_each_other():
 
 def test_rotation_part_has_infinite_order():
     # a non-stabilizer element leaves behind an infinite-order rotation
-    for s in (shift(ODO2, 1), invert(shift(ODO2, 1)), induced(FIB, cylinder(FIB, ("a",)))):
+    for s in (shift(ODO2, 1), invert(shift(ODO2, 1)), induced(FIB, cylinder(FIB, "a"))):
         fac = factorize(s)
         assert not fac.rotation.is_trivial()
         assert rotation_escapes(fac, 64)
@@ -228,7 +228,7 @@ def test_rotation_part_has_infinite_order():
 
 def test_kernel_decompose_oracle():
     # swap of [11] with its successor block [00] crosses the anchor once
-    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, (1, 1)))
+    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, "11"))
     assert index(s) == 0
     p1, p2 = kernel_decompose(s)
     assert equals(compose(p1, p2), s)
@@ -240,7 +240,7 @@ def test_kernel_decompose_oracle():
 
 
 def test_kernel_decompose_crossing_free():
-    u = cylinder(ODO2, (0, 0))
+    u = cylinder(ODO2, "00")
     s = embed_symmetric(ODO2, 2, (1, 0), u)
     p1, p2 = kernel_decompose(s)
     assert is_identity(p2)
@@ -306,7 +306,7 @@ def test_kernel_decompose_rejects_nonzero_index():
 
 
 def test_kernel_decompose_is_commutator_with_shift():
-    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, (1, 1)))
+    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, "11"))
     _, p2 = kernel_decompose(s)
     # P2 splits into an involution and its shift conjugate
     halves = {}
@@ -318,14 +318,14 @@ def test_kernel_decompose_is_commutator_with_shift():
 
 def test_separation_witness_oracle():
     x, _ = base_point(ODO2, "primary")
-    o = cylinder(ODO2, (0,))
+    o = cylinder(ODO2, "0")
     g = separation_witness(ODO2, o, x)
     nontrivial = {
         tuple(sorted(c.sorted_words())): p for p, c in g.pieces if p != 0
     }
     assert nontrivial == {
-        ((0, 0, 0), (0, 1, 0)): 2,
-        ((0, 0, 1),): -4,
+        ("000", "010"): 2,
+        ("001",): -4,
     }
     assert order(g, 8) == 3
     assert index(g) == 0
@@ -335,7 +335,7 @@ def test_separation_witness_oracle():
 
 def test_separation_parts_commutator():
     x, _ = base_point(FIB, "primary")
-    o = cylinder(FIB, (x.window(0, 0)))
+    o = cylinder(FIB, x.window(0, 0))
     sigma, tau = separation_parts(FIB, o, x)
     assert order(sigma, 4) == 2
     assert order(tau, 4) == 2
@@ -348,7 +348,7 @@ def test_separation_parts_commutator():
 
 def test_separation_witness_rejects_outside_point():
     x, _ = base_point(ODO2, "primary")
-    o = cylinder(ODO2, (1,))
+    o = cylinder(ODO2, "1")
     with pytest.raises(PreconditionError):
         separation_witness(ODO2, o, x)
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from fullgroups.clopen import (
     union_all,
 )
 from fullgroups.errors import NotPartitionError, PreconditionError
+from fullgroups.formats import parse_clopen
 from fullgroups.systems import _bits, _fiber_table, base_point, language, make_system
 
 O2 = make_system({"kind": "odometer", "bases": [2]})
@@ -37,12 +39,24 @@ def rand_clopen(spec, rng):
 
 def test_inadmissible_word_is_empty():
     assert cylinder(FIB, "bb").is_empty()
-    assert cylinder(O2, (0, 2)).is_empty()
+    assert cylinder(O2, "02").is_empty()
+
+
+def test_a_digit_string_is_the_parsed_cylinder():
+    assert cylinder(O2, "01") == parse_clopen("01@0", O2)
+    assert cylinder(O2, "01").word_count() == 1
+
+
+@pytest.mark.parametrize("word", [(0, 1), ("a",), ["0"], "", 0])
+def test_cylinder_refuses_a_word_that_is_not_a_nonempty_string(word):
+    spec = FIB if word == ("a",) else O2
+    with pytest.raises(PreconditionError, match=re.escape(repr(word))):
+        cylinder(spec, word)
 
 
 def test_odometer_offset_rejected():
     with pytest.raises(PreconditionError):
-        cylinder(O2, (0,), offset=1)
+        cylinder(O2, "0", offset=1)
 
 
 def test_translate_shifts_subshift_window():
@@ -54,13 +68,13 @@ def test_translate_shifts_subshift_window():
 
 
 def test_translate_odometer_carry():
-    one = cylinder(O2, (1, 1))
-    assert one.translate(1) == cylinder(O2, (0, 0))
-    assert cylinder(O2, (1,)).translate(1) == cylinder(O2, (0,))
+    one = cylinder(O2, "11")
+    assert one.translate(1) == cylinder(O2, "00")
+    assert cylinder(O2, "1").translate(1) == cylinder(O2, "0")
     # depth is preserved exactly
-    third = cylinder(O2, (0, 1, 0))
-    assert third.translate(2) == cylinder(O2, (0, 0, 1))
-    assert third.translate(-2) == cylinder(O2, (0, 0, 0))
+    third = cylinder(O2, "010")
+    assert third.translate(2) == cylinder(O2, "001")
+    assert third.translate(-2) == cylinder(O2, "000")
     assert third.translate(8) == third
 
 
@@ -72,10 +86,10 @@ def test_intersect_fibonacci_example():
 
 
 def test_canonical_form_merges_siblings():
-    zero = cylinder(O2, (0,))
-    again = cylinder(O2, (0, 0)).union(cylinder(O2, (0, 1)))
+    zero = cylinder(O2, "0")
+    again = cylinder(O2, "00").union(cylinder(O2, "01"))
     assert again == zero
-    assert again.hi == 0 and again.words == frozenset({(0,)})
+    assert again.hi == 0 and again.words == frozenset({"0"})
 
 
 def test_canonicalization_idempotent_and_unique():
@@ -105,13 +119,13 @@ def test_contains_point():
     assert not cylinder(FIB, "ba", 0).contains_point(p)
     assert cylinder(FIB, "a", -1).contains_point(p)
     q, _ = base_point(O2, "primary")
-    assert cylinder(O2, (0, 0, 0)).contains_point(q)
-    assert cylinder(O2, (1,)).contains_point(q.shifted(1))
+    assert cylinder(O2, "000").contains_point(q)
+    assert cylinder(O2, "1").contains_point(q.shifted(1))
 
 
 def test_fits_in_radius():
-    assert cylinder(O2, (0, 1, 0)).fits_in_radius(3)
-    assert cylinder(O2, (0,)).union(cylinder(O2, (1,))).fits_in_radius(0)
+    assert cylinder(O2, "010").fits_in_radius(3)
+    assert cylinder(O2, "0").union(cylinder(O2, "1")).fits_in_radius(0)
     assert not full(O2).fits_in_radius(1)
     c = cylinder(FIB, "aba", -1)
     assert c.fits_in_radius(1)
@@ -119,12 +133,12 @@ def test_fits_in_radius():
 
 
 def test_check_partition():
-    cells = [cylinder(O2, (0,)), cylinder(O2, (1,))]
+    cells = [cylinder(O2, "0"), cylinder(O2, "1")]
     check_partition(O2, cells)
     with pytest.raises(NotPartitionError):
-        check_partition(O2, [cylinder(O2, (0,)), cylinder(O2, (0, 1))])
+        check_partition(O2, [cylinder(O2, "0"), cylinder(O2, "01")])
     with pytest.raises(NotPartitionError):
-        check_partition(O2, [cylinder(O2, (0,)), full(O2)])
+        check_partition(O2, [cylinder(O2, "0"), full(O2)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +222,7 @@ def test_fiber_masks_partition_the_language():
         for width, a, b in ((7, 1, 6), (5, 0, 2), (9, 4, 5)):
             fibers, proj = _fiber_table(spec, width, a, b)
             outer, inner = spec.word_index(width)[0], spec.word_index(b - a)[0]
-            assert sorted(map(tuple, outer)) == sorted(language(spec, width)) == list(map(tuple, outer))
+            assert sorted(outer) == sorted(language(spec, width)) == list(outer)
             assert sum(f.bit_count() for f in fibers) == len(outer)
             assert sum(fibers) == (1 << len(outer)) - 1  # disjoint and covering
             for j, fiber in enumerate(fibers):

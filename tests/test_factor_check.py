@@ -205,7 +205,7 @@ def _finer_element():
     # T^2 on [2] factorizes at level 2 (one tower of height 8, atoms of depth 3);
     # a swap of a depth-6 cylinder is not constant on the atom that holds it
     fac = factorize(shift(ODO2, 2))
-    return dataclasses.replace(fac, element=swaps(ODO2, [(cylinder(ODO2, (0,) * 6), 1)]))
+    return dataclasses.replace(fac, element=swaps(ODO2, [(cylinder(ODO2, "000000"), 1)]))
 
 
 def _repeated_entry():

@@ -43,7 +43,7 @@ SYSTEMS = {"odo2": ODO2, "fib": FIB}
 
 
 def test_clopen_round_trip():
-    c = cylinder(ODO2, (0, 1)).union(cylinder(ODO2, (1, 1)))
+    c = cylinder(ODO2, "01").union(cylinder(ODO2, "11"))
     text = render_clopen(c)
     assert text == "01@0 + 11@0"
     assert parse_clopen(text, ODO2) == c
@@ -78,7 +78,7 @@ def test_clopen_literals():
 
 
 def test_clopen_subshift_offsets():
-    c = cylinder(FIB, ("a", "b", "a"), -1)
+    c = cylinder(FIB, "aba", -1)
     text = render_clopen(c)
     assert parse_clopen(text, FIB) == c
 
@@ -99,7 +99,7 @@ def test_clopen_parse_errors():
 
 
 def test_element_round_trip():
-    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, (0, 0)))
+    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, "00"))
     text = render_element(s, "odo2")
     name, back = parse_element(text, SYSTEMS)
     assert name == "odo2"

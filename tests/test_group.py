@@ -14,6 +14,7 @@ from fullgroups.group import (
     compose,
     directsum_generator,
     disjoint_cylinder_block,
+    element_hash,
     embed_symmetric,
     equals,
     identity,
@@ -26,6 +27,7 @@ from fullgroups.group import (
     support,
     swaps,
 )
+from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, make_system
 from oracles import cocycle_table, cocycle_values_on
 
@@ -49,35 +51,35 @@ def test_identity_element():
 
 
 def test_make_element_rejects_overlap():
-    a = cylinder(ODO2, (0,))
+    a = cylinder(ODO2, "0")
     with pytest.raises(NotPartitionError):
         make_element(ODO2, [(a, 0), (a, 1)])
 
 
 def test_make_element_rejects_gap():
-    a = cylinder(ODO2, (0, 0))
-    b = cylinder(ODO2, (1, 0))
+    a = cylinder(ODO2, "00")
+    b = cylinder(ODO2, "10")
     with pytest.raises(NotPartitionError):
         make_element(ODO2, [(a, 1), (b, -1)])
 
 
 def test_make_element_rejects_noninjective_images():
     # domains partition X but both pieces land in [0]
-    a = cylinder(ODO2, (0,))
-    b = cylinder(ODO2, (1,))
+    a = cylinder(ODO2, "0")
+    b = cylinder(ODO2, "1")
     with pytest.raises(NotPartitionError):
         make_element(ODO2, [(a, 0), (b, 1)])
 
 
 def test_translate_cylinder_exactly():
     # adding 1 to the full block wraps: T[11] = [00]
-    top = cylinder(ODO2, (1, 1))
-    assert top.translate(1) == cylinder(ODO2, (0, 0))
-    assert image(shift(ODO2, 1), cylinder(ODO2, (1,))) == cylinder(ODO2, (0,))
+    top = cylinder(ODO2, "11")
+    assert top.translate(1) == cylinder(ODO2, "00")
+    assert image(shift(ODO2, 1), cylinder(ODO2, "1")) == cylinder(ODO2, "0")
 
 
 def test_embed_symmetric_involution():
-    u = cylinder(ODO2, (0, 0))
+    u = cylinder(ODO2, "00")
     s = embed_symmetric(ODO2, 2, (1, 0), u)
     assert order(s, 8) == 2
     assert support(s) == u.union(u.translate(1))
@@ -85,11 +87,11 @@ def test_embed_symmetric_involution():
     assert cocycle_values_on(s, u.translate(1)) == {-1}
     x, _ = base_point(ODO2, "primary")
     y = x.shifted(cocycle_at(s, x))
-    assert y.window(0, 2) == (1, 0, 0)
+    assert y.window(0, 2) == "100"
 
 
 def test_embed_symmetric_three_cycle():
-    u = cylinder(ODO2, (0, 0, 0))
+    u = cylinder(ODO2, "000")
     s = embed_symmetric(ODO2, 3, (1, 2, 0), u)
     assert order(s, 8) == 3
     assert is_identity(compose(s, compose(s, s)))
@@ -97,17 +99,17 @@ def test_embed_symmetric_three_cycle():
 
 def test_embed_symmetric_rejects_overlap():
     # translating [0] twice wraps back onto itself in the 2-odometer
-    u = cylinder(ODO2, (0,))
+    u = cylinder(ODO2, "0")
     with pytest.raises(PreconditionError):
         embed_symmetric(ODO2, 3, (1, 2, 0), u)
 
 
 def test_cocycle_table_hull():
-    u = cylinder(ODO2, (0, 0))
+    u = cylinder(ODO2, "00")
     s = embed_symmetric(ODO2, 2, (1, 0), u)
     win, table = cocycle_table(s)
     assert win == (0, 1)
-    assert table == {(0, 0): 1, (1, 0): -1, (0, 1): 0, (1, 1): 0}
+    assert table == {"00": 1, "10": -1, "01": 0, "11": 0}
 
 
 def test_cocycle_at_point():
@@ -122,7 +124,7 @@ def test_order_of_shift_is_infinite():
 
 
 def test_commutator_of_commuting_is_identity():
-    u = cylinder(ODO2, (0, 0, 0))
+    u = cylinder(ODO2, "000")
     s = embed_symmetric(ODO2, 2, (1, 0), u)
     t = embed_symmetric(ODO2, 2, (1, 0), u.translate(4))
     assert support(s).disjoint(support(t))
@@ -132,10 +134,10 @@ def test_commutator_of_commuting_is_identity():
 def test_agree_on():
     t = shift(ODO2, 1)
     assert agree_on(t, t, full(ODO2))
-    assert not agree_on(t, identity(ODO2), cylinder(ODO2, (0,)))
-    u = cylinder(ODO2, (0, 0))
+    assert not agree_on(t, identity(ODO2), cylinder(ODO2, "0"))
+    u = cylinder(ODO2, "00")
     s = embed_symmetric(ODO2, 2, (1, 0), u)
-    assert agree_on(s, identity(ODO2), cylinder(ODO2, (0, 1)))
+    assert agree_on(s, identity(ODO2), cylinder(ODO2, "01"))
 
 
 def test_disjoint_cylinder_block():
@@ -150,8 +152,8 @@ def test_disjoint_cylinder_block():
 
 def test_subshift_shift_cocycle():
     t = shift(FIB, 1)
-    a = cylinder(FIB, ("a", "b"))
-    assert image(t, a) == cylinder(FIB, ("a", "b"), -1)
+    a = cylinder(FIB, "ab")
+    assert image(t, a) == cylinder(FIB, "ab", -1)
     assert cocycle_values_on(t, full(FIB)) == {1}
 
 
@@ -211,7 +213,7 @@ def test_cocycle_law(p1, p2):
 
 
 def test_swaps_is_the_hand_built_involution():
-    u = cylinder(ODO2, (0, 0, 0))
+    u = cylinder(ODO2, "000")
     s = swaps(ODO2, [(u, 1), (u.translate(4), 2)])
     blocks = [u, u.translate(1), u.translate(4), u.translate(6)]
     rest = full(ODO2).difference(blocks[0].union(blocks[1]).union(blocks[2]).union(blocks[3]))
@@ -221,7 +223,7 @@ def test_swaps_is_the_hand_built_involution():
     assert equals(s, by_hand)
     assert is_identity(compose(s, s))
     with pytest.raises(NotPartitionError):
-        swaps(ODO2, [(cylinder(ODO2, (0,)), 2)])  # T^2[0] = [0]
+        swaps(ODO2, [(cylinder(ODO2, "0"), 2)])  # T^2[0] = [0]
 
 
 @pytest.fixture
@@ -233,7 +235,7 @@ def fresh_caches():
 
 def _kernel_element():
     # swaps [11] and T[11] = [00]: the points T^-1 x and x cross the anchor x = 0^inf
-    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, (1, 1)))
+    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, "11"))
     return canon.kernel_decompose(s)
 
 
@@ -241,7 +243,7 @@ CAPPED_SEARCHES = {
     "disjoint_cylinder_block": lambda: disjoint_cylinder_block(ODO2, 3),
     "kernel_decompose": _kernel_element,
     "separation_witness": lambda: canon.separation_witness(
-        ODO2, cylinder(ODO2, (0,)), base_point(ODO2, "primary")[0]
+        ODO2, cylinder(ODO2, "0"), base_point(ODO2, "primary")[0]
     ),
     "directsum_generator": lambda: directsum_generator(ODO2, 1),
 }
@@ -260,4 +262,16 @@ def test_a_sub_cylinder_found_at_the_cap_is_kept(monkeypatch, fresh_caches):
     # on [2] the first separated sub-cylinder of the carved [0] has depth 2
     monkeypatch.setattr(group, "_DEPTH_CAP", 2)
     gen = directsum_generator(ODO2, 1)
-    assert support(gen) == cylinder(ODO2, (0, 0)).union(cylinder(ODO2, (0, 1)))
+    assert support(gen) == cylinder(ODO2, "00").union(cylinder(ODO2, "01"))
+
+
+def test_element_hash_keeps_digit_letters_as_strings():
+    """A subshift over the letters 0 and 1 hashes its words as letters: the
+    digests pinned here would change if they were read as int digits."""
+    tm = make_system({"kind": "substitution", "rule": {"0": "01", "1": "10"}})
+    assert element_hash(shift(tm, 1)) == "a276779d170d71dc"
+    assert [element_hash(s) for s in random_products(tm, 3, 0, max_len=3)] == [
+        "5f081c7fd9717b56",
+        "20e87e6750697380",
+        "3628e07ef13753e9",
+    ]

@@ -186,7 +186,7 @@ def test_structure_decompose_rejects_incompatible():
     xi = structure_partition(ODO2, 3)
     from fullgroups.clopen import cylinder
 
-    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, (0, 0, 0, 0, 0)))
+    s = embed_symmetric(ODO2, 2, (1, 0), cylinder(ODO2, "00000"))
     with pytest.raises(PreconditionError):
         structure_decompose(s, xi)
 

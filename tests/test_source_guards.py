@@ -8,6 +8,9 @@
   reads is dead data.
 - `_DEPTH_CAP` is read only by `group.ladder_sizes`, the one generator
   that bounds every cylinder search; a search with its own bound fails here.
+- A word is a string on both system kinds: no module defines a `Word`
+  alias or a `render_word`, and the tuple form `symbols` is read only by
+  `group.element_hash`, whose pinned digests hash it.
 """
 
 import ast
@@ -105,18 +108,31 @@ def test_every_dataclass_field_is_read_in_src():
     assert not unread, sorted(unread)
 
 
-def _depth_cap_reads(node, owner=None):
-    """The enclosing function of each load or import of `_DEPTH_CAP` under node."""
+def _reads(node, name, owner=None):
+    """The enclosing function of each load or import of `name` under node."""
     for child in ast.iter_child_nodes(node):
         field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(child))
-        # a name, `module._DEPTH_CAP` or an import, but not the assignment
+        # a name, `module.<name>` or an import, but not the assignment
         stored = isinstance(getattr(child, "ctx", None), ast.Store)
-        if field and getattr(child, field) == "_DEPTH_CAP" and not stored:
+        if field and getattr(child, field) == name and not stored:
             yield owner
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _depth_cap_reads(child, inner)
+        yield from _reads(child, name, inner)
 
 
 def test_the_depth_cap_is_read_in_one_function():
-    reads = {(module, owner) for module, tree in _modules() for owner in _depth_cap_reads(tree)}
+    reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "_DEPTH_CAP")}
     assert reads == {("group", "ladder_sizes")}
+
+
+def test_a_word_has_one_type():
+    defined = {
+        (module, node.name if isinstance(node, ast.FunctionDef) else node.id)
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and node.name == "render_word")
+        or (isinstance(node, ast.Name) and node.id == "Word" and isinstance(node.ctx, ast.Store))
+    }
+    assert not defined, sorted(defined)
+    reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "symbols")}
+    assert reads == {("group", "element_hash")}

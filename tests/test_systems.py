@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fullgroups import systems
-from fullgroups.errors import SystemConfigError
+from fullgroups.errors import ParseError, PreconditionError, SystemConfigError
 from fullgroups.systems import (
-    OdometerPoint,
     SubstitutionSpec,
     _subst_factors,
     base_point,
@@ -70,7 +69,7 @@ def test_accepts_thue_morse():
 
 def test_odometer_language():
     spec = odometer2()
-    assert language(spec, 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert language(spec, 2) == {"00", "01", "10", "11"}
     mixed = make_system({"kind": "odometer", "bases": [2, 3]})
     assert len(language(mixed, 2)) == 6
     assert len(language(mixed, 4)) == 36
@@ -78,12 +77,12 @@ def test_odometer_language():
 
 def test_fibonacci_language():
     spec = fibonacci()
-    assert language(spec, 2) == {("a", "a"), ("a", "b"), ("b", "a")}
+    assert language(spec, 2) == {"aa", "ab", "ba"}
     # Sturmian complexity: L + 1 factors of length L
     for L in (1, 2, 3, 5, 9):
         assert len(language(spec, L)) == L + 1
-    assert ("b", "b") not in language(spec, 2)
-    assert ("a", "a", "a") not in language(spec, 3)
+    assert "bb" not in language(spec, 2)
+    assert "aaa" not in language(spec, 3)
 
 
 def test_thue_morse_language_counts():
@@ -97,22 +96,22 @@ def test_thue_morse_language_counts():
 def test_base_points_odometer():
     spec = odometer2()
     primary, cert = base_point(spec, "primary")
-    assert cert and point_window(primary, 0, 4) == (0, 0, 0, 0, 0)
+    assert cert and point_window(primary, 0, 4) == "00000"
     alt, cert = base_point(spec, "alternate")
     assert cert
-    assert point_window(alt, 0, 3) == (1, 0, 1, 0)
+    assert point_window(alt, 0, 3) == "1010"
 
 
 def test_base_point_fibonacci_fixed_word():
     spec = fibonacci()
     primary, cert = base_point(spec, "primary")
     assert cert
-    assert "".join(point_window(primary, 0, 4)) == "abaab"
+    assert point_window(primary, 0, 4) == "abaab"
     # left tail is a suffix of iterated images of the left seed
-    assert "".join(point_window(primary, -3, -1)) == "aba"
+    assert point_window(primary, -3, -1) == "aba"
     alt, cert = base_point(spec, "alternate")
     assert not cert
-    assert "".join(point_window(alt, -1, 0)) == "ba"
+    assert point_window(alt, -1, 0) == "ba"
 
 
 def test_point_windows_are_admissible():
@@ -126,19 +125,19 @@ def test_point_windows_are_admissible():
 def test_odometer_shift_carries():
     spec = odometer2()
     p, _ = base_point(spec, "primary")
-    assert point_window(p.shifted(1), 0, 2) == (1, 0, 0)
-    assert point_window(p.shifted(3), 0, 2) == (1, 1, 0)
-    assert point_window(p.shifted(4), 0, 3) == (0, 0, 1, 0)
+    assert point_window(p.shifted(1), 0, 2) == "100"
+    assert point_window(p.shifted(3), 0, 2) == "110"
+    assert point_window(p.shifted(4), 0, 3) == "0010"
     # T^-1(0^inf) = 1^inf
     back = p.shifted(-1)
-    assert point_window(back, 0, 5) == (1, 1, 1, 1, 1, 1)
+    assert point_window(back, 0, 5) == "111111"
     # and T(1^inf) = 0^inf again
-    assert point_window(back.shifted(1), 0, 5) == (0, 0, 0, 0, 0, 0)
+    assert point_window(back.shifted(1), 0, 5) == "000000"
 
 
 def test_odometer_shift_roundtrip():
     spec = make_system({"kind": "odometer", "bases": [2, 3]})
-    p = OdometerPoint(spec, (1, 2), (0, 1))
+    p = spec.point((1, 2), (0, 1))
     for n in (1, -1, 5, -5, 17, -23):
         q = p.shifted(n).shifted(-n)
         assert point_window(q, 0, 9) == point_window(p, 0, 9)
@@ -186,18 +185,18 @@ def odometer_streams(draw, spec):
 def test_odometer_shift_matches_carry_reference(name, data):
     spec = ODOMETERS[name]
     pre, period = data.draw(odometer_streams(spec), label="stream")
-    p = OdometerPoint(spec, pre, period)
+    p = spec.point(pre, period)
     a = data.draw(st.integers(-300, 300), label="a")
     b = data.draw(st.integers(-300, 300), label="b")
     hi = data.draw(st.integers(0, 12), label="hi")
     lo = data.draw(st.integers(0, hi), label="lo")
     ref_pre, ref_period = odometer_shifted(spec, pre, period, a)
-    expected = tuple(stream_digit(ref_pre, ref_period, i) for i in range(lo, hi + 1))
+    expected = "".join(str(stream_digit(ref_pre, ref_period, i)) for i in range(lo, hi + 1))
     assert p.shifted(a).window(lo, hi) == expected
     assert p.shifted(a).shifted(b).window(0, 12) == p.shifted(a + b).window(0, 12)
     assert p.shifted(a).orbit_certificate() == p.orbit_certificate()
     # the reference stream is T^a x too, so it carries the same certificate
-    assert OdometerPoint(spec, ref_pre, ref_period).orbit_certificate() == p.orbit_certificate()
+    assert spec.point(ref_pre, ref_period).orbit_certificate() == p.orbit_certificate()
 
 
 def tribonacci():
@@ -212,21 +211,45 @@ def test_word_index_is_the_sorted_language_as_strings(name):
     """The index holds the sorted language as strings, and every word of
     width <= 11 occurs in a central window of the fixed point."""
     spec = SUBSHIFTS[name]
-    text = "".join(point_window(base_point(spec)[0], -400, 400))
+    text = point_window(base_point(spec)[0], -400, 400)
     for n in range(1, 12):
         words, position = spec.word_index(n)
-        assert [tuple(w) for w in words] == sorted(language(spec, n))
+        assert list(words) == sorted(language(spec, n))
         assert set(words) == {text[i : i + n] for i in range(len(text) - n + 1)}
         assert all(position[w] == i for i, w in enumerate(words))
 
 
-@pytest.mark.parametrize("name", sorted(SUBSHIFTS))
+@pytest.mark.parametrize("name", sorted(SUBSHIFTS) + ["odometer-2", "odometer-2-3"])
 def test_word_admissible_agrees_with_the_language(name):
-    spec = SUBSHIFTS[name]
+    spec = SUBSHIFTS.get(name) or ODOMETERS[name.removeprefix("odometer-")]
+    letters = spec.alphabet if name in SUBSHIFTS else "0123"
     for n in range(1, 7):
         admissible = language(spec, n)
-        for w in itertools.product(spec.alphabet, repeat=n):
+        for w in map("".join, itertools.product(letters, repeat=n)):
             assert spec.word_admissible(w) == (w in admissible), w
+    if name in SUBSHIFTS:
+        return
+    # a digit at or above its base, a non-digit, a non-ASCII digit int() reads as 3
+    for bad in ("2", "012", "0a", "a", "0 ", "٣", "0٣"):
+        assert not spec.word_admissible(bad), bad
+        with pytest.raises(ParseError, match="bad odometer word"):
+            spec.parse_word(bad)
+    assert spec.parse_word("0101") == "0101"
+
+
+@pytest.mark.parametrize(
+    "pre, period, message",
+    [
+        ((), (), "nonempty periodic tail"),
+        ((2,), (0,), "digit 2 invalid at position 0"),
+        # the tail digit 2 fits base 3 at position 1 but not base 2 at position 2
+        ((0,), (2,), "digit 2 invalid at position 2"),
+        ((-1,), (0,), "digit -1 invalid at position 0"),
+    ],
+)
+def test_odometer_point_refuses_a_bad_stream(pre, period, message):
+    with pytest.raises(PreconditionError, match=message):
+        ODOMETERS["2-3"].point(pre, period)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,7 +264,7 @@ def test_encode_decode_and_word_bit_round_trip(name, width, data):
     for w in words:
         bit = spec.word_bit(w, width)
         assert spec.decode(1 << bit, width) == [w]
-        assert spec.word_bit("".join(w), width) == bit == admissible.index(w)
+        assert bit == admissible.index(w)
 
 
 # Fibonacci, Thue-Morse, tribonacci, and three rules with unequal images
@@ -300,5 +323,5 @@ def test_substitution_window_matches_a_direct_expansion(name, which, shift, lo, 
     while min(len(left), len(right)) < 700:
         left, right = spec.apply_rule(left, point.power), spec.apply_rule(right, point.power)
     start = shift + lo
-    expected = tuple(right[i] if i >= 0 else left[i] for i in range(start, start + length + 1))
+    expected = "".join(right[i] if i >= 0 else left[i] for i in range(start, start + length + 1))
     assert point.shifted(shift).window(lo, lo + length) == expected

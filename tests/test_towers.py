@@ -36,24 +36,24 @@ def test_return_ceiling_names_its_knob(monkeypatch):
     # the depth-3 cylinder returns after 8 steps, past a ceiling of 4
     monkeypatch.setattr(towers, "_RETURN_CEILING", 4)
     with pytest.raises(VerificationError, match=r"_RETURN_CEILING = 2\^2\b"):
-        first_return(ODO2, cylinder(ODO2, (0, 0, 0)))
+        first_return(ODO2, cylinder(ODO2, "000"))
     assert towers._RETURN_CEILING == 4
-    assert sorted(first_return(ODO2, cylinder(ODO2, (0, 0))).cells) == [4]
+    assert sorted(first_return(ODO2, cylinder(ODO2, "00")).cells) == [4]
 
 
 def test_first_return_odometer_constant():
-    rf = first_return(ODO2, cylinder(ODO2, (0,)))
+    rf = first_return(ODO2, cylinder(ODO2, "0"))
     assert sorted(rf.cells) == [2]
-    assert rf.cells[2] == cylinder(ODO2, (0,))
-    rf3 = first_return(ODO2, cylinder(ODO2, (0, 0, 0)))
+    assert rf.cells[2] == cylinder(ODO2, "0")
+    rf3 = first_return(ODO2, cylinder(ODO2, "000"))
     assert sorted(rf3.cells) == [8]
 
 
 def test_first_return_fibonacci():
-    rf = first_return(FIB, cylinder(FIB, ("a",)))
+    rf = first_return(FIB, cylinder(FIB, "a"))
     assert sorted(rf.cells) == [1, 2]
-    assert rf.cells[1] == cylinder(FIB, ("a", "a"))
-    assert rf.cells[2] == cylinder(FIB, ("a", "b"))
+    assert rf.cells[1] == cylinder(FIB, "aa")
+    assert rf.cells[2] == cylinder(FIB, "ab")
 
 
 def test_first_return_rejects_empty():
@@ -62,7 +62,7 @@ def test_first_return_rejects_empty():
 
 
 def test_induced_map_is_first_return():
-    a = cylinder(FIB, ("a",))
+    a = cylinder(FIB, "a")
     s = induced(FIB, a)
     assert support(s).subset(a)
     x, _ = base_point(FIB, "primary")
@@ -72,7 +72,7 @@ def test_induced_map_is_first_return():
 
 
 def test_induced_on_odometer_cylinder():
-    a = cylinder(ODO2, (0, 0))
+    a = cylinder(ODO2, "00")
     s = induced(ODO2, a)
     x, _ = base_point(ODO2, "primary")
     assert cocycle_at(s, x) == 4
@@ -81,16 +81,16 @@ def test_induced_on_odometer_cylinder():
 
 
 def test_kr_partition_odometer():
-    xi = kr_from_set(ODO2, cylinder(ODO2, (0, 0)))
+    xi = kr_from_set(ODO2, cylinder(ODO2, "00"))
     assert xi.heights() == [4]
     xi.validate()
-    assert xi.base() == cylinder(ODO2, (0, 0))
-    assert xi.top() == cylinder(ODO2, (1, 1))
-    assert xi.atom(0, 1) == cylinder(ODO2, (1, 0))
+    assert xi.base() == cylinder(ODO2, "00")
+    assert xi.top() == cylinder(ODO2, "11")
+    assert xi.atom(0, 1) == cylinder(ODO2, "10")
 
 
 def test_kr_partition_fibonacci():
-    xi = kr_from_set(FIB, cylinder(FIB, ("a",)))
+    xi = kr_from_set(FIB, cylinder(FIB, "a"))
     assert sorted(xi.heights()) == [1, 2]
     xi.validate()
     atoms = [a for _, _, a in xi.iter_atoms()]
@@ -98,7 +98,7 @@ def test_kr_partition_fibonacci():
 
 
 def test_band_set_identities():
-    xi = kr_from_set(FIB, cylinder(FIB, ("a",)))
+    xi = kr_from_set(FIB, cylinder(FIB, "a"))
     b = xi.base()
     h = min(xi.heights())
     for i in range(h):
@@ -126,9 +126,9 @@ def test_successors_split_each_base_both_ways(spec, level):
 
 
 def test_refine_against():
-    xi = kr_from_set(FIB, cylinder(FIB, ("a",)))
+    xi = kr_from_set(FIB, cylinder(FIB, "a"))
     # the letter one step back cuts the base cell [aa] in two
-    c = cylinder(FIB, ("a",), -1)
+    c = cylinder(FIB, "a", -1)
     assert not xi.refines_set(c)
     fine = refine_against(xi, c)
     assert fine.refines_set(c)
@@ -178,7 +178,7 @@ def test_tower_sequence_refines_central_cylinders():
     xi = seq.level(2)
     for w in ("a", "b"):
         for off in range(-2, 2):
-            c = cylinder(FIB, (w,), off)
+            c = cylinder(FIB, w, off)
             assert xi.refines_set(c)
 
 
@@ -289,7 +289,7 @@ def test_subshift_levels_keep_the_tower_conditions(spec):
 
 def test_odometer_level_needs_one_word():
     with pytest.raises(VerificationError, match="not one"):
-        towers.central_level(ODO2, cylinder(ODO2, (0, 0)).union(cylinder(ODO2, (1, 1))))
+        towers.central_level(ODO2, cylinder(ODO2, "00").union(cylinder(ODO2, "11")))
 
 
 def test_tower_sequence_cached():
