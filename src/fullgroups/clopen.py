@@ -90,8 +90,7 @@ class ClopenSet:
     def _common(self, other: "ClopenSet") -> tuple[int, int, int]:
         """Both masks on the smaller set's window expanded to the larger one."""
         spec = self.spec
-        if spec != other.spec:
-            raise PreconditionError("sets live over different systems")
+        _over(spec, (other,))
         mine, theirs = spec.ladder_size(self.lo, self.hi), spec.ladder_size(other.lo, other.hi)
         size = max(mine, theirs)
         a = self.mask if mine == size else _expand_words(spec, self.mask, (self.lo, self.hi), size)
@@ -211,11 +210,18 @@ def empty(spec: SystemSpec) -> ClopenSet:
     return ClopenSet(spec, lo, hi, 0)
 
 
+def _over(spec: SystemSpec, sets) -> list:
+    """The sets as a list, once each is checked to live over spec."""
+    sets = list(sets)
+    for s in sets:
+        if s.spec is not spec and s.spec != spec:
+            raise PreconditionError("sets live over different systems")
+    return sets
+
+
 def union_all(spec: SystemSpec, sets) -> ClopenSet:
     """Union of the sets: their masks OR-ed on the widest window, canonicalized once."""
-    sets = list(sets)
-    if any(s.spec != spec for s in sets):
-        raise PreconditionError("sets live over different systems")
+    sets = _over(spec, sets)
     size = max((spec.ladder_size(s.lo, s.hi) for s in sets), default=spec.floor)
     mask = 0
     for s in sets:
@@ -230,7 +236,7 @@ def check_partition(spec: SystemSpec, cells) -> None:
     is the full mask, and the cells are disjoint iff their word counts add
     up to the union's.
     """
-    cells = list(cells)
+    cells = _over(spec, cells)
     if not cells:
         raise NotPartitionError("no cells")
     size = max(spec.ladder_size(c.lo, c.hi) for c in cells)

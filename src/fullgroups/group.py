@@ -161,13 +161,18 @@ def cocycle_bound(s: GroupElement) -> int:
     return max(abs(n) for n, _ in s.pieces)
 
 
+def is_permutation(p, n: int) -> bool:
+    """True iff the sequence p lists each of 0, 1, ..., n-1 exactly once."""
+    return len(p) == n and set(p).issuperset(range(n))
+
+
 def embed_symmetric(spec: SystemSpec, m: int, perm, u: ClopenSet) -> GroupElement:
     """Permutation of the disjoint blocks U, TU, ..., T^(m-1)U, identity outside.
 
     perm is the image tuple (one-line notation) of a permutation of range(m).
     """
     perm = tuple(perm)
-    if sorted(perm) != list(range(m)) or m < 1:
+    if m < 1 or not is_permutation(perm, m):
         raise PreconditionError(f"{perm!r} is not a permutation of range({m})")
     if u.is_empty():
         raise PreconditionError("block must be nonempty")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .canon import (
-    _LEVEL_CAP, PermutationForm, Refusal, _atom_values, _signed_residue, _tower_perm,
-    factorize, is_n_permutation, order_exceeds,
+    PermutationForm, Refusal, _atom_values, _signed_residue, _tower_perms,
+    factorize, is_n_permutation, order_exceeds, search_levels,
 )
 from .clopen import central_cylinder
 from .errors import PreconditionError, VerificationError
@@ -31,6 +31,7 @@ from .group import (
     equals,
     identity,
     is_identity,
+    is_permutation,
     make_element,
     swaps,
 )
@@ -61,9 +62,7 @@ class FinitePermGroupDesc:
         return tuple(tuple(range(h)) for h in self.heights)
 
     def contains(self, a: HElement) -> bool:
-        return len(a) == len(self.heights) and all(
-            sorted(pv) == list(range(h)) for pv, h in zip(a, self.heights)
-        )
+        return len(a) == len(self.heights) and all(map(is_permutation, a, self.heights))
 
     def compose(self, a: HElement, b: HElement) -> HElement:
         # matches element composition: b acts first
@@ -149,43 +148,32 @@ def lef_map(f_elems, level: int | None = None) -> LEFWitness:
     f_list = list(f_elems)
     if not f_list:
         raise PreconditionError("F must be nonempty")
-    spec = f_list[0].spec
-    ident = identity(spec)
     # GroupElement equality is `equals`; dict keys keep the first of each
-    f_set = list(dict.fromkeys([ident] + f_list))
-    squares = list(dict.fromkeys(compose(s, t) for s in f_set for t in f_set))
-    levels = [level] if level is not None else range(1, _LEVEL_CAP + 1)
-    for n in levels:
-        w = _witness_at(spec, tuple(f_set), tuple(squares), n)
-        if w is not None:
-            return w
-    if level is not None:
-        raise PreconditionError(f"level {level} does not support a witness for F")
-    raise VerificationError(f"witness level search exceeded _LEVEL_CAP = {_LEVEL_CAP}")
+    f_set = tuple(dict.fromkeys([identity(f_list[0].spec)] + f_list))
+    squares = tuple(dict.fromkeys(compose(s, t) for s in f_set for t in f_set))
+    return search_levels(lambda n: _witness_at(f_set, squares, n), level, "witness")[1]
 
 
-def _witness_at(spec, f_set, squares, n) -> LEFWitness | None:
+def _witness_at(f_set, squares, n):
+    """The witness at level n, or a Refusal naming the first rule it breaks."""
     facs = []
     for s in squares:
         try:
             facs.append(factorize(s, level=n))
-        except PreconditionError:
-            return None
-    xi = facs[0].xi
-    desc = perm_group(xi)
-    d = 0
-    q = 0
-    for fac in facs:
-        su, sd = fac.rotation.supportive_sets()
-        d = max([d] + [i + 1 for i in su] + [j + 1 for j in sd])
-        q = max(q, fac.n0)
+        except PreconditionError as e:
+            return Refusal(f"a product of F does not factorize ({e})")
+    desc = perm_group(facs[0].xi)
+    # d is one past the widest rotation band of any product
+    bands = [i for fac in facs for i, _ in fac.rotation.u_levels + fac.rotation.d_levels]
+    d = max(bands, default=-1) + 1
+    q = max(fac.n0 for fac in facs)
     if min(desc.heights) <= 2 * (d + q):
-        return None
+        return Refusal(f"a tower of height {min(desc.heights)} is too short for d = {d}, n0 = {q}")
     table = tuple((s, fac.permutation.perms) for s, fac in zip(squares, facs))
     if not all(_inverse_agreement(desc, h, d) for _, h in table):
-        return None
+        return Refusal(f"inverse permutations disagree on the bands up to {d}")
     w = LEFWitness(f_set, squares, n, desc, table)
-    return w if verify_lef(w).ok else None
+    return w if verify_lef(w).ok else Refusal("verify_lef refuses the table")
 
 
 @dataclass(frozen=True)
@@ -247,10 +235,10 @@ def structure_decompose(s: GroupElement, xi: KRPartition):
     and a kernel exponent tuple (applied kernel first)."""
     m = xi.heights()[0]
     f_atoms = _atom_values(s, xi)
-    perm = None if isinstance(f_atoms, tuple) else _tower_perm(f_atoms[0], m)
-    if perm is None:
-        raise PreconditionError("element is not compatible with the partition")
-    return perm, tuple((i + f - perm[i]) // m for i, f in enumerate(f_atoms[0]))
+    perms = f_atoms and _tower_perms(f_atoms, xi)
+    if not perms:
+        raise PreconditionError(f"element is not compatible with the partition: {perms.reason}")
+    return perms[0], tuple((i + f - perms[0][i]) // m for i, f in enumerate(f_atoms[0]))
 
 
 def odometer_structure(
@@ -278,7 +266,7 @@ def odometer_structure(
         want = tuple(
             i + 1 if j == i else i if j == i + 1 else j for j in range(m)
         )
-        if isinstance(form, Refusal) or form.perms[0] != want:
+        if not form or form.perms[0] != want:
             raise VerificationError(f"transposition ({i} {i + 1}) not realized")
         realized += 1
     lines.append(f"transpositions realized: {realized} of {m - 1}")

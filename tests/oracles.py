@@ -2,10 +2,12 @@
 
 They read an element's cocycle one piece at a time, the slow way the
 level tables replace, peel first returns by clopen algebra and build a
-tower level from them, and move an odometer digit stream by digit
-addition with carry.
+tower level from them, move an odometer digit stream by digit
+addition with carry, and integrate an odometer cocycle against the
+invariant measure.
 """
 
+from fractions import Fraction
 from math import lcm
 
 from fullgroups.clopen import ClopenSet, _expand_words, cylinder
@@ -23,6 +25,19 @@ def cocycle_table(s: GroupElement) -> tuple[tuple[int, int], dict]:
         for w in spec.decode(_expand_words(spec, c.mask, (c.lo, c.hi), size), win[1] - win[0] + 1):
             table[w] = n
     return win, table
+
+
+def index_by_measure(s: GroupElement) -> Fraction:
+    """The integral of s's cocycle against the odometer's invariant measure,
+    Σ n·μ(C_n), where a piece on the depth-d window has μ = |mask| / p_1⋯p_d.
+
+    The index is this integral (Giordano–Putnam–Skau 1999), read with
+    neither a tower sequence nor an anchor point.
+    """
+    spec = s.spec
+    return sum(
+        Fraction(n * c.mask.bit_count(), spec.block_size(c.hi - c.lo + 1)) for n, c in s.pieces
+    )
 
 
 def cocycle_values_on(s: GroupElement, a: ClopenSet) -> set[int]:

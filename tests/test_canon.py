@@ -38,8 +38,10 @@ from fullgroups.group import (
     shift,
     support,
 )
+from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, make_system
 from fullgroups.towers import induced, tower_sequence
+from oracles import index_by_measure
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO32 = make_system({"kind": "odometer", "bases": [3, 2]})
@@ -128,6 +130,13 @@ def test_index_oracles():
         assert index(induced(spec, a)) == 1
     u = cylinder(ODO2, "00")
     assert index(embed_symmetric(ODO2, 2, (1, 0), u)) == 0
+
+
+@pytest.mark.parametrize("bases", [[2], [2, 3], [3, 2, 2]], ids=str)
+def test_index_is_the_cocycle_integral(bases):
+    spec = make_system({"kind": "odometer", "bases": bases})
+    for s in random_products(spec, 20, seed=18):
+        assert index(s) == index_by_measure(s)
 
 
 def test_orbit_counts_oracle():

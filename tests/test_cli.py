@@ -74,11 +74,13 @@ def test_factorize_report_shape(ws, capsys):
     assert "U(0)^1" in out
 
 
-def test_factorize_rejects_low_level(ws):
+def test_factorize_rejects_low_level(ws, capsys):
     tmp, run = ws
     assert run("element", "make", "--system", "odo2", "--out", "T2",
                "--piece", "FULL -> 2") == 0
+    capsys.readouterr()
     assert run("factorize", "T2", "--level", "1") == 2
+    assert "band half-width m = 1 is below q = 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

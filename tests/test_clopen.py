@@ -141,6 +141,12 @@ def test_check_partition():
         check_partition(O2, [cylinder(O2, "0"), full(O2)])
 
 
+def test_check_partition_refuses_cells_of_another_system():
+    # the cells tile odometer [2,3], whose masks would pass a count on [2]
+    with pytest.raises(PreconditionError, match="different systems"):
+        check_partition(O2, [cylinder(O23, "0"), cylinder(O23, "1")])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9), st.integers(0, 10**9), st.sampled_from(["o", "f"]))
 def test_boolean_algebra_laws(sa, sb, which):

@@ -63,6 +63,11 @@ def test_make_element_rejects_gap():
         make_element(ODO2, [(a, 1), (b, -1)])
 
 
+def test_make_element_refuses_a_piece_of_another_system():
+    with pytest.raises(PreconditionError, match="different systems"):
+        make_element(ODO2, [(full(ODO23), 1)])
+
+
 def test_make_element_rejects_noninjective_images():
     # domains partition X but both pieces land in [0]
     a = cylinder(ODO2, "0")

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from fullgroups import lef
+from fullgroups import canon
 from fullgroups.canon import PermutationForm, factorize
 from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
@@ -204,6 +204,20 @@ def test_structure_rejects_subshift():
 
 
 def test_witness_level_search_cap_names_its_knob(monkeypatch):
-    monkeypatch.setattr(lef, "_LEVEL_CAP", 0)
-    with pytest.raises(VerificationError, match=r"_LEVEL_CAP = 0"):
+    monkeypatch.setattr(canon, "_LEVEL_CAP", 0)
+    with pytest.raises(VerificationError, match=r"^witness level search exceeded _LEVEL_CAP = 0$"):
         lef_map([shift(ODO2, 1)])
+
+
+def test_one_level_cap_bounds_both_searches(monkeypatch):
+    # T on [2] factorizes at level 1 but has its witness only at level 3
+    monkeypatch.setattr(canon, "_LEVEL_CAP", 2)
+    assert factorize.__wrapped__(shift(ODO2, 1)).level == 1
+    with pytest.raises(VerificationError, match=r"_LEVEL_CAP = 2$"):
+        lef_map([shift(ODO2, 1)])
+
+
+def test_fixed_witness_level_names_its_refusal():
+    with pytest.raises(PreconditionError) as err:
+        lef_map([shift(ODO2, 1)], level=1)
+    assert str(err.value).startswith("no witness at level 1: a product of F does not factorize")

@@ -3,15 +3,18 @@ against the one-set and pairwise-union references they replace.
 
 Elements are seeded random products or drawn words over the generator
 pool; levels 1-5 of the anchored tower sequence on odometer [2],
-odometer [2,3] and Fibonacci.
+odometer [2,3] and Fibonacci. A refused level names the first rule it
+breaks, and the reference names the same one.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fullgroups.canon import _level_data
-from fullgroups.group import _build, cocycle_bound, compose, identity
+from fullgroups.clopen import cylinder
+from fullgroups.group import _build, cocycle_bound, compose, identity, shift, swaps
 from fullgroups.sampling import generator_pool, random_clopen, random_products
 from fullgroups.systems import make_system
 from fullgroups.towers import induced, tower_sequence
@@ -52,26 +55,28 @@ def _rows_by_atom(s, xi):
 
 
 def _reference_level_data(q_elem, xi, q):
-    """The level data read atom by atom through cocycle_values_on."""
+    """The level data read atom by atom through cocycle_values_on, or the
+    reason of the first rule the level breaks."""
     m = xi.band
     if q > m:
-        return None
+        return f"band half-width m = {m} is below q = {q}"
     f_atoms = []
-    for row in _rows_by_atom(q_elem, xi):
-        if any(len(vals) != 1 for vals in row):
-            return None
+    for v, row in enumerate(_rows_by_atom(q_elem, xi)):
+        for i, vals in enumerate(row):
+            if len(vals) != 1:
+                return f"cocycle is not constant on atom ({v}, {i})"
         f_atoms.append([min(vals) for vals in row])
     f_bands = {}
     for i in range(-m - 1, m + 1):
         vals = {f_atoms[v][i if i >= 0 else h + i] for v, (b, h) in enumerate(xi.towers)}
         if len(vals) != 1:
-            return None
+            return f"cocycle is not constant on band {i}"
         f_bands[i] = vals.pop()
     perms = []
     for v, (b, h) in enumerate(xi.towers):
         targets = [(i + f_atoms[v][i]) % h for i in range(h)]
         if sorted(targets) != list(range(h)):
-            return None
+            return f"levels collide inside tower {v}"
         perms.append(tuple(targets))
     return f_atoms, f_bands, perms
 
@@ -100,7 +105,45 @@ def test_level_data_matches_the_atom_by_atom_reference(case, level, data):
     xi = tower_sequence(spec).level(level)
     # bounds below the cocycle bound reach the atom read at shallow levels too
     q = data.draw(st.integers(0, cocycle_bound(s)), label="q")
-    assert _level_data(s, xi, q) == _reference_level_data(s, xi, q)
+    got, want = _level_data(s, xi, q), _reference_level_data(s, xi, q)
+    assert (got if got else got.reason) == want
+
+
+def _atom_split(xi):
+    # a swap of a depth-6 cylinder moves only part of the depth-2 atom holding it
+    return swaps(xi.spec, [(cylinder(xi.spec, "000000"), 1)])
+
+
+def _one_tower_swapped(xi):
+    # on Fibonacci's two towers, swapping the bottom atoms of tower 0 moves band 0 there only
+    return swaps(xi.spec, [(xi.atom(0, 0), 1)])
+
+
+def _two_atoms_onto_one(xi):
+    # unvalidated: atoms 0 and 1 both land on level 1, which no bijection does
+    return _build(xi.spec, [(int(i == 0), a) for v, i, a in xi.iter_atoms()])
+
+
+@pytest.mark.parametrize("system, make, reason", [
+    ("odometer-2", lambda xi: shift(xi.spec, 2), "band half-width m = 1 is below q = 2"),
+    ("odometer-2", _atom_split, "cocycle is not constant on atom (0, 0)"),
+    ("fibonacci", _one_tower_swapped, "cocycle is not constant on band 0"),
+    ("odometer-2", _two_atoms_onto_one, "levels collide inside tower 0"),
+], ids=["band-width", "atom", "band", "collision"])
+def test_each_level_refusal_names_its_rule(system, make, reason):
+    xi = tower_sequence(SYSTEMS[system]).level(1)
+    s = make(xi)
+    refusal = _level_data(s, xi, cocycle_bound(s))
+    assert not refusal
+    assert refusal.reason == reason
+    assert refusal.reason == _reference_level_data(s, xi, cocycle_bound(s))
+
+
+def test_an_atom_refusal_carries_its_atom():
+    xi = tower_sequence(SYSTEMS["odometer-2"]).level(1)
+    refusal = _level_data(_atom_split(xi), xi, 1)
+    assert refusal.atom == xi.atom(0, 0)
+    assert cylinder(xi.spec, "000000").subset(refusal.atom)
 
 
 @settings(max_examples=60, deadline=None)

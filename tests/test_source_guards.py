@@ -8,6 +8,8 @@
   reads is dead data.
 - `_DEPTH_CAP` is read only by `group.ladder_sizes`, the one generator
   that bounds every cylinder search; a search with its own bound fails here.
+- `_LEVEL_CAP` is read only by `canon.search_levels`, the one level search
+  behind `factorize` and `lef_map`.
 - A word is a string on both system kinds: no module defines a `Word`
   alias or a `render_word`, and the tuple form `symbols` is read only by
   `group.element_hash`, whose pinned digests hash it.
@@ -69,8 +71,8 @@ def test_kind_tests_stay_within_the_cap():
     assert sum(counts.values()) <= KIND_TEST_CAP, {m: n for m, n in counts.items() if n}
 
 
-# Fields kept although no `src/` code reads them: tests read the refusal reason.
-UNREAD_FIELDS_ALLOWED = {("Refusal", "reason")}
+# Fields kept although no `src/` code reads them.
+UNREAD_FIELDS_ALLOWED: set = set()
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -123,6 +125,11 @@ def _reads(node, name, owner=None):
 def test_the_depth_cap_is_read_in_one_function():
     reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "_DEPTH_CAP")}
     assert reads == {("group", "ladder_sizes")}
+
+
+def test_the_level_cap_is_read_in_one_function():
+    reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "_LEVEL_CAP")}
+    assert reads == {("canon", "search_levels")}
 
 
 def test_a_word_has_one_type():
