@@ -284,7 +284,7 @@ CRITERIA = (
 )
 
 
-def run_all(seed: int = 0, out=print) -> bool:
+def run_all(seed: int = 0) -> bool:
     ok_all = True
     for k, (name, fn) in enumerate(CRITERIA, start=1):
         try:
@@ -292,5 +292,5 @@ def run_all(seed: int = 0, out=print) -> bool:
         except (AssertionError, FullGroupsError) as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         ok_all = ok_all and ok
-        out(f"criterion {k} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        print(f"criterion {k} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok_all

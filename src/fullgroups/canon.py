@@ -267,34 +267,35 @@ def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):
 
 
 # Keyed by caller input, so this is the one bounded cache: selftest leaves
-# about 360 entries and a factor-odometer trial at most 350 distinct elements.
+# 209 entries and a factor-odometer trial at most 350 distinct elements.
 _FACT_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_FACT_CACHE_SIZE)
-def factorize(
-    q_elem: GroupElement,
-    level: int | None = None,
-    anchor: PointRep | None = None,
-) -> Factorization:
-    """Split Q = P∘R over the anchored tower sequence.
+def factorize(q_elem: GroupElement, level: int | None = None) -> Factorization:
+    """Split Q = P∘R over the tower sequence of the primary point.
 
     Auto mode returns the smallest valid level; a fixed level the level
     data refuses is a precondition error naming the refusal. Q = P∘R is
     checked exactly on the level's tables before returning.
     """
-    seq = tower_sequence(q_elem.spec, anchor)
-    q = cocycle_bound(q_elem)
-    n, (f_atoms, f_bands, perms) = search_levels(
-        lambda n: _level_data(q_elem, seq.level(n), q), level, "factorization"
-    )
+    seq = tower_sequence(q_elem.spec)
+    return search_levels(lambda n: _factor_at(q_elem, seq, n), level, "factorization")[1]
+
+
+def _factor_at(q_elem: GroupElement, seq, n: int):
+    """The checked factorization of Q at level n of seq, or the Refusal of its level data."""
     xi = seq.level(n)
-    n0 = max(q, n)
+    q = cocycle_bound(q_elem)
+    data = _level_data(q_elem, xi, q)
+    if not data:
+        return data
+    f_atoms, f_bands, perms = data
     s_u = tuple((a, 1) for a in range(q) if f_bands[-(a + 1)] >= a + 1)
     s_d = tuple((b, -1) for b in range(q) if f_bands[b] <= -(b + 1))
     p_form = PermutationForm(xi, tuple(perms))
     r_form = RotationForm(xi, s_u, s_d)
-    fac = Factorization(q_elem, n, n0, p_form, r_form)
+    fac = Factorization(q_elem, n, max(q, n), p_form, r_form)
     _check_factorization(fac, f_atoms)
     return fac
 
@@ -357,9 +358,18 @@ def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> Non
             for b in down:
                 if f_atoms[w][b] != perms[v][b] - b - hv:
                     raise VerificationError(f"P∘R does not reproduce Q on D band {b}")
-    for i in range(-xi.band, xi.band + 1):
-        if len({_signed_residue(pv[i % h] - i, h) for pv, h in zip(perms, heights)}) != 1:
-            raise VerificationError("band permutation disagrees across towers")
+    displacements = [[p - i for i, p in enumerate(pv)] for pv in perms]
+    if not _bands_agree(displacements, heights, xi.band):
+        raise VerificationError("band permutation disagrees across towers")
+
+
+def _bands_agree(rows, heights, d: int) -> bool:
+    """True when, for each i in [-d, d], the towers' rows agree at signed
+    position i: rows[v][i mod h_v] is one signed residue mod h_v for all v."""
+    for i in range(-d, d + 1):
+        if len({_signed_residue(row[i % h], h) for row, h in zip(rows, heights)}) != 1:
+            return False
+    return True
 
 
 def _signed_residue(r: int, h: int) -> int:
@@ -378,7 +388,7 @@ def order_exceeds(s: GroupElement, bound: int, z: PointRep) -> bool:
     return True
 
 
-def rotation_escapes(fac: Factorization, bound: int, x: PointRep | None = None) -> bool:
+def rotation_escapes(fac: Factorization, bound: int) -> bool:
     """Refute order <= bound for a nontrivial rotation part.
 
     Each supportive band carries an anchor orbit point, and the band's
@@ -387,8 +397,7 @@ def rotation_escapes(fac: Factorization, bound: int, x: PointRep | None = None) 
     """
     if fac.rotation.is_trivial():
         raise PreconditionError("the rotation part is trivial")
-    if x is None:
-        x, _ = base_point(fac.element.spec, "primary")
+    x, _ = base_point(fac.element.spec, "primary")
     if fac.rotation.u_levels:
         a, _ = fac.rotation.u_levels[0]
         z = x.shifted(-(a + 1))

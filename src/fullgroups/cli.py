@@ -278,7 +278,7 @@ def _load_witness(ws: Workspace, text: str) -> LEFWitness:
     elements = tuple(_load_hashed(ws, label)[1] for label in f_labels)
     desc = perm_group(tower_sequence(ws.load_system(sys_name)).level(level))
     # the file claims an injective, multiplicative table; verify_lef re-checks it
-    return LEFWitness(elements, tuple(s for s, _ in table), level, desc, tuple(table))
+    return LEFWitness(elements, level, desc, tuple(table))
 
 
 def cmd_lef(ws: Workspace, args) -> int:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .canon import (
-    PermutationForm, Refusal, _atom_values, _signed_residue, _tower_perms,
-    factorize, is_n_permutation, order_exceeds, search_levels,
+    PermutationForm, Refusal, _atom_values, _bands_agree, _factor_at, _tower_perms,
+    is_n_permutation, order_exceeds, search_levels,
 )
 from .clopen import central_cylinder
 from .errors import PreconditionError, VerificationError
@@ -36,14 +36,16 @@ from .group import (
     swaps,
 )
 from .systems import SystemSpec, base_point
-from .towers import KRPartition, central_level, induced
+from .towers import KRPartition, central_level, induced, tower_sequence
 
 HElement = tuple  # one one-line permutation per tower
 
 # The structure report's fixed scale: kernel exponents drawn from
-# [-_EXPONENT_RADIUS, _EXPONENT_RADIUS], generator orders refuted up to _ORDER_BOUND.
+# [-_EXPONENT_RADIUS, _EXPONENT_RADIUS], generator orders refuted up to _ORDER_BOUND,
+# and _SAMPLES exponent tuples and permutation-kernel products checked.
 _EXPONENT_RADIUS = 5
 _ORDER_BOUND = 64
+_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,9 @@ def perm_group(xi: KRPartition) -> FinitePermGroupDesc:
 @dataclass(frozen=True)
 class LEFWitness:
     elements: tuple  # F, canonicalized, identity included
-    squares: tuple  # F·F in a fixed order
     level: int
     group: FinitePermGroupDesc
-    table: tuple  # (element, HElement) pairs covering squares
+    table: tuple  # (element, HElement) rows, one per member of F·F in a fixed order
 
     @cached_property
     def images(self) -> dict:
@@ -121,19 +122,6 @@ class LEFWitness:
         if h is None:
             raise PreconditionError("element outside the witnessed set")
         return h
-
-
-def _inverse_agreement(desc: FinitePermGroupDesc, a: HElement, d: int) -> bool:
-    # every tower's inverse permutation must send each signed band
-    # position near the boundary to one common signed position
-    inv = desc.invert(a)
-    for i in range(-d, d + 1):
-        vals = {
-            _signed_residue(pv[i % h], h) for pv, h in zip(inv, desc.heights)
-        }
-        if len(vals) != 1:
-            return False
-    return True
 
 
 def lef_map(f_elems, level: int | None = None) -> LEFWitness:
@@ -156,12 +144,13 @@ def lef_map(f_elems, level: int | None = None) -> LEFWitness:
 
 def _witness_at(f_set, squares, n):
     """The witness at level n, or a Refusal naming the first rule it breaks."""
+    seq = tower_sequence(f_set[0].spec)
     facs = []
     for s in squares:
-        try:
-            facs.append(factorize(s, level=n))
-        except PreconditionError as e:
-            return Refusal(f"a product of F does not factorize ({e})")
+        fac = _factor_at(s, seq, n)
+        if not fac:
+            return Refusal(f"a product of F does not factorize ({fac.reason})")
+        facs.append(fac)
     desc = perm_group(facs[0].xi)
     # d is one past the widest rotation band of any product
     bands = [i for fac in facs for i, _ in fac.rotation.u_levels + fac.rotation.d_levels]
@@ -170,9 +159,11 @@ def _witness_at(f_set, squares, n):
     if min(desc.heights) <= 2 * (d + q):
         return Refusal(f"a tower of height {min(desc.heights)} is too short for d = {d}, n0 = {q}")
     table = tuple((s, fac.permutation.perms) for s, fac in zip(squares, facs))
-    if not all(_inverse_agreement(desc, h, d) for _, h in table):
+    # every tower's inverse permutation must send each signed band
+    # position near the boundary to one common signed position
+    if not all(_bands_agree(desc.invert(h), desc.heights, d) for _, h in table):
         return Refusal(f"inverse permutations disagree on the bands up to {d}")
-    w = LEFWitness(f_set, squares, n, desc, table)
+    w = LEFWitness(f_set, n, desc, table)
     return w if verify_lef(w).ok else Refusal("verify_lef refuses the table")
 
 
@@ -191,7 +182,7 @@ def verify_lef(w: LEFWitness) -> Report:
     """Re-check injectivity on F and multiplicativity on F×F pair by pair,
     after checking that every table image is a level permutation of H."""
     desc = w.group
-    names = {s: element_hash(s) for s in (*w.squares, *w.elements, *w.images)}
+    names = {s: element_hash(s) for s in (*w.elements, *w.images)}
     outside = [s for s, h in w.table if not desc.contains(h)]
     if outside:
         heights = ",".join(str(h) for h in desc.heights)
@@ -200,8 +191,9 @@ def verify_lef(w: LEFWitness) -> Report:
         ))
     lines = []
     ok = True
-    for i, s in enumerate(w.squares):
-        for t in w.squares[i + 1:]:
+    rows = [s for s, _ in w.table]
+    for i, s in enumerate(rows):
+        for t in rows[i + 1:]:
             distinct = w.image(s) != w.image(t)
             ok = ok and distinct
             lines.append(f"distinct {names[s]} {names[t]}: {'ok' if distinct else 'FAIL'}")
@@ -241,12 +233,7 @@ def structure_decompose(s: GroupElement, xi: KRPartition):
     return perms[0], tuple((i + f - perms[0][i]) // m for i, f in enumerate(f_atoms[0]))
 
 
-def odometer_structure(
-    spec: SystemSpec,
-    n: int,
-    seed: int = 0,
-    samples: int = 50,
-) -> Report:
+def odometer_structure(spec: SystemSpec, n: int, seed: int = 0) -> Report:
     """Desk-scale verification of the level-n semidirect structure of an
     odometer: realized transpositions on top of a free-abelian kernel of
     induced maps, with unique permutation-kernel factorization."""
@@ -287,7 +274,7 @@ def odometer_structure(
 
     rng = random.Random(seed)
     tuples = {tuple(0 for _ in range(m)), (1,) + (0,) * (m - 1), (0, 1) + (0,) * (m - 2)}
-    want = min(samples, (2 * _EXPONENT_RADIUS + 1) ** m)
+    want = min(_SAMPLES, (2 * _EXPONENT_RADIUS + 1) ** m)
     while len(tuples) < want:
         tuples.add(tuple(rng.randint(-_EXPONENT_RADIUS, _EXPONENT_RADIUS) for _ in range(m)))
     tuples = sorted(tuples)
@@ -310,7 +297,7 @@ def odometer_structure(
     lines.append(f"tuples add under composition: {'ok' if adds else 'FAIL'}")
 
     unique = True
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         perm = list(range(m))
         rng.shuffle(perm)
         exps = tuple(rng.randint(-2, 2) for _ in range(m))
@@ -320,7 +307,7 @@ def odometer_structure(
         if got_perm != tuple(perm) or got_exps != exps:
             unique = False
     lines.append(
-        f"unique permutation-kernel factorization on {samples} samples: "
+        f"unique permutation-kernel factorization on {_SAMPLES} samples: "
         f"{'ok' if unique else 'FAIL'}"
     )
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fullgroups import cli
+from fullgroups import cli, systems
 from fullgroups.formats import render_lef_witness
 from fullgroups.lef import odometer_structure
 from fullgroups.systems import make_system
@@ -217,6 +217,19 @@ def test_lef_build_and_verify(ws, capsys):
     assert run("lef", "verify", "w1") == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and out.splitlines()[-1] == "pass"
+
+
+def test_lef_names_a_cap_the_search_runs_into(ws, monkeypatch, capsys):
+    # T^4 on [5] first factorizes at level 4, whose tower of height 5^4 is over 2^7
+    tmp, run = ws
+    (tmp / "odo5.cfg").write_text("kind = odometer\nbases = 5\n")
+    assert run("system", "define", "odo5", str(tmp / "odo5.cfg")) == 0
+    assert run("element", "make", "--system", "odo5", "--out", "T4", "--piece", "FULL -> 4") == 0
+    (tmp / "flist.txt").write_text("T4\n")
+    monkeypatch.setattr(systems, "_ODOMETER_WORD_CAP", 1 << 7)
+    capsys.readouterr()
+    assert run("lef", "--set", str(tmp / "flist.txt"), "--out", "w1") == 2
+    assert "_ODOMETER_WORD_CAP = 2^7" in capsys.readouterr().err
 
 
 def test_lef_verify_catches_corruption(ws, capsys):

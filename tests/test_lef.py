@@ -4,9 +4,10 @@ import pathlib
 
 import pytest
 
-from fullgroups import canon
+from fullgroups import canon, systems
 from fullgroups.canon import PermutationForm, factorize
 from fullgroups.errors import PreconditionError, VerificationError
+from fullgroups.clopen import cylinder
 from fullgroups.group import (
     compose,
     disjoint_cylinder_block,
@@ -15,6 +16,7 @@ from fullgroups.group import (
     identity,
     invert,
     is_identity,
+    make_element,
     shift,
 )
 from fullgroups.lef import (
@@ -31,6 +33,8 @@ from fullgroups.towers import induced, tower_sequence
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
+# no other test builds the levels of odometer [5], so no cached level hides a cap
+ODO5 = make_system({"kind": "odometer", "bases": [5]})
 
 # odometer_structure(ODO2, n, seed=0).text() for n = 1, 2, 3, one line per check
 STRUCTURE_GOLDEN = pathlib.Path(__file__).parent / "data" / "structure.txt"
@@ -75,7 +79,7 @@ def test_perm_group_isomorphism_on_forms():
 def test_lef_map_identity_only():
     w = lef_map([identity(ODO2)])
     assert len(w.elements) == 1
-    assert len(w.squares) == 1
+    assert len(w.table) == 1
     assert verify_lef(w).ok
 
 
@@ -121,7 +125,7 @@ def test_verify_lef_catches_corruption():
     table = list(w.table)
     (i, (si, hi)), (j, (sj, hj)) = (1, table[1]), (2, table[2])
     table[i], table[j] = (si, hj), (sj, hi)
-    bad = LEFWitness(w.elements, w.squares, w.level, w.group, tuple(table))
+    bad = LEFWitness(w.elements, w.level, w.group, tuple(table))
     rep = verify_lef(bad)
     assert not rep.ok
     assert any("FAIL" in line for line in rep.lines)
@@ -132,31 +136,16 @@ def test_repeated_rows_keep_their_first_image():
     w = lef_map([t, t, identity(ODO2)])
     assert w.elements == (identity(ODO2), t)  # deduplicated, first occurrence kept
     (s, h), (_, other) = w.table[0], w.table[1]
-    twice = LEFWitness(w.elements, w.squares + (s,), w.level, w.group, w.table + ((s, other),))
+    twice = LEFWitness(w.elements, w.level, w.group, w.table + ((s, other),))
     assert twice.image(s) == h and twice.images[s] == h
     with pytest.raises(PreconditionError):
         w.image(shift(ODO2, 5))
 
 
-def test_structure_report_n1():
-    r = odometer_structure(ODO2, 1, samples=15)
-    assert r.ok
-    assert r.lines == (
-        "level n=1 tower height=2",
-        "transpositions realized: 1 of 1",
-        "kernel generators commute: ok",
-        "kernel generator order exceeds 64: ok",
-        "exponent tuples checked: 15",
-        "tuples pairwise distinct: ok",
-        "tuples add under composition: ok",
-        "unique permutation-kernel factorization on 15 samples: ok",
-        "structure: ok",
-    )
-
-
 def test_structure_reports_match_golden_file():
-    text = "".join(odometer_structure(ODO2, n, seed=0).text() + "\n" for n in (1, 2, 3))
-    assert text == STRUCTURE_GOLDEN.read_text()
+    reports = [odometer_structure(ODO2, n, seed=0) for n in (1, 2, 3)]
+    assert all(r.ok for r in reports)
+    assert "".join(r.text() + "\n" for r in reports) == STRUCTURE_GOLDEN.read_text()
 
 
 def test_structure_n1_example_identities():
@@ -221,3 +210,24 @@ def test_fixed_witness_level_names_its_refusal():
     with pytest.raises(PreconditionError) as err:
         lef_map([shift(ODO2, 1)], level=1)
     assert str(err.value).startswith("no witness at level 1: a product of F does not factorize")
+
+
+def test_a_cap_passes_through_the_witness_search_unchanged(monkeypatch):
+    # T^4 on [5] first factorizes at level 4, whose tower of height 5^4 is over 2^7
+    monkeypatch.setattr(systems, "_ODOMETER_WORD_CAP", 1 << 7)
+    cap = r"_ODOMETER_WORD_CAP = 2\^7"
+    with pytest.raises(PreconditionError, match=cap):
+        factorize.__wrapped__(shift(ODO5, 4))
+    with pytest.raises(PreconditionError, match=cap):
+        lef_map([shift(ODO5, 4)])
+
+
+def test_the_witness_search_leaves_the_factorization_cache_empty():
+    # README's `lef` example: {id, T, sw} on the 2-odometer
+    sw = make_element(ODO2, [
+        (cylinder(ODO2, "10"), 1), (cylinder(ODO2, "01"), -1),
+        (cylinder(ODO2, "00"), 0), (cylinder(ODO2, "11"), 0),
+    ])
+    factorize.cache_clear()
+    assert verify_lef(lef_map([identity(ODO2), shift(ODO2, 1), sw])).ok
+    assert factorize.cache_info().currsize == 0
