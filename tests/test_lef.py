@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from fullgroups import canon, systems
+from fullgroups import canon, lef, systems
 from fullgroups.canon import PermutationForm, factorize
 from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.clopen import cylinder
@@ -140,6 +140,23 @@ def test_repeated_rows_keep_their_first_image():
     assert twice.image(s) == h and twice.images[s] == h
     with pytest.raises(PreconditionError):
         w.image(shift(ODO2, 5))
+
+
+def test_structure_report_n1(monkeypatch):
+    monkeypatch.setattr(lef, "_SAMPLES", 15)
+    r = odometer_structure(ODO2, 1)
+    assert r.ok
+    assert r.lines == (
+        "level n=1 tower height=2",
+        "transpositions realized: 1 of 1",
+        "kernel generators commute: ok",
+        "kernel generator order exceeds 64: ok",
+        "exponent tuples checked: 15",
+        "tuples pairwise distinct: ok",
+        "tuples add under composition: ok",
+        "unique permutation-kernel factorization on 15 samples: ok",
+        "structure: ok",
+    )
 
 
 def test_structure_reports_match_golden_file():
