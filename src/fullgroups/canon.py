@@ -10,9 +10,11 @@ stabilizer members, and every nonempty clopen set supports an order-3
 commutator witness moving a designated point.
 
 `factorize` checks Q = P∘R on the level's tables, not on elements: one
-equation per cell of X, stated in `_check_factorization`. Composing
+equation per cell of X, stated in `_check_factorization`, the only place
+that knows the band maps' closed form. Composing
 `PermutationForm.to_element()` with `RotationForm.to_element()` stays as
-the independent oracle in the tests and in `selftest`.
+the independent oracle in the tests and in `selftest`: its band maps are
+`towers.induced` first returns, read off words.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .group import (
     swaps,
 )
 from .systems import PointRep, SystemSpec, base_point
-from .towers import KRPartition, first_return, tower_sequence
+from .towers import KRPartition, first_return, induced, tower_sequence
 
 _LEVEL_CAP = 24
 
@@ -111,10 +113,9 @@ class RotationForm:
 
     def to_element(self) -> GroupElement:
         out = identity(self.xi.spec)
-        for i, e in self.u_levels:
-            out = compose(out, _power(t_u(self.xi, i), e))
-        for j, e in self.d_levels:
-            out = compose(out, _power(t_d(self.xi, j), e))
+        for band_of, levels in ((self.xi.u_set, self.u_levels), (self.xi.d_set, self.d_levels)):
+            for i, e in levels:
+                out = compose(out, _power(induced(self.xi.spec, band_of(i)), e))
         return out
 
     def is_trivial(self) -> bool:
@@ -141,37 +142,6 @@ def _power(s: GroupElement, e: int) -> GroupElement:
     for _ in range(e):
         out = compose(out, s)
     return out
-
-
-def t_u(xi: KRPartition, i: int) -> GroupElement:
-    """Induced map on the band at distance i below the tower tops.
-
-    Closed form: on the tower-v part it is T^{h_w}, where w is the tower
-    whose base receives the point i+1 steps up.
-    """
-    if not 0 <= 2 * i < min(xi.heights()):
-        raise PreconditionError(f"band {i} too wide for the shortest tower")
-    raw = [(0, xi.u_set(i).complement())]
-    for v, (bv, hv) in enumerate(xi.towers):
-        src = xi.atom(v, hv - 1 - i)
-        for bw, hw in xi.towers:
-            piece = src.intersect(bw.translate(-(i + 1)))
-            if not piece.is_empty():
-                raw.append((hw, piece))
-    return _build(xi.spec, raw, validate=False)
-
-
-def t_d(xi: KRPartition, j: int) -> GroupElement:
-    """Induced map on the band at distance j above the tower bases.
-
-    The return time from level j of tower v is h_v outright.
-    """
-    if not 0 <= 2 * j < min(xi.heights()):
-        raise PreconditionError(f"band {j} too wide for the shortest tower")
-    raw = [(0, xi.d_set(j).complement())]
-    for v, (bv, hv) in enumerate(xi.towers):
-        raw.append((hv, xi.atom(v, j)))
-    return _build(xi.spec, raw, validate=False)
 
 
 def _atom_values(q_elem: GroupElement, xi: KRPartition):
@@ -219,15 +189,12 @@ def is_n_rotation(s: GroupElement, xi: KRPartition):
     supp = support(s)
     u_levels = []
     d_levels = []
-    for make, band_of, levels in (
-        (t_u, xi.u_set, u_levels),
-        (t_d, xi.d_set, d_levels),
-    ):
+    for band_of, levels in ((xi.u_set, u_levels), (xi.d_set, d_levels)):
         for i in range(half):
             band = band_of(i)
             if supp.disjoint(band):
                 continue
-            gen = make(xi, i)
+            gen = induced(xi.spec, band)
             for e in range(-r_max, r_max + 1):
                 if e != 0 and agree_on(s, _power(gen, e), band):
                     levels.append((i, e))

@@ -235,13 +235,15 @@ def cmd_decompose(ws: Workspace, args) -> int:
     ws.save_element(f"{args.element}.p1", sys_name, p1)
     ws.save_element(f"{args.element}.p2", sys_name, p2)
     print(f"wrote {args.element}.p1 and {args.element}.p2")
-    print(f"compose equals input: {'ok' if equals(compose(p1, p2), s) else 'FAIL'}")
-    print(f"second factor involution: {'ok' if order(p2, 2) in (1, 2) else 'FAIL'}")
-    print(f"first factor fixes forward orbit of x: "
-          f"{'ok' if in_stabilizer(p1, x) else 'FAIL'}")
-    print(f"second factor fixes forward orbit of y: "
-          f"{'ok' if in_stabilizer(p2, y) else 'FAIL'}")
-    return 0
+    checks = {
+        "compose equals input": equals(compose(p1, p2), s),
+        "second factor involution": order(p2, 2) in (1, 2),
+        "first factor fixes forward orbit of x": in_stabilizer(p1, x),
+        "second factor fixes forward orbit of y": in_stabilizer(p2, y),
+    }
+    for what, ok in checks.items():
+        print(f"{what}: {'ok' if ok else 'FAIL'}")
+    return 0 if all(checks.values()) else 3
 
 
 def cmd_witness(ws: Workspace, args) -> int:
@@ -282,15 +284,13 @@ def _load_witness(ws: Workspace, text: str) -> LEFWitness:
 
 
 def cmd_lef(ws: Workspace, args) -> int:
-    if args.rest and args.rest[0] == "verify":
-        if len(args.rest) != 2:
-            raise PreconditionError("usage: lef verify <witness>")
+    if len(args.rest) == 2 and args.rest[0] == "verify":
         report = verify_lef(_load_witness(ws, ws.load_witness_text(args.rest[1])))
         for line in report.lines:
             print(line)
         print("pass" if report.ok else "fail")
         return 0 if report.ok else 3
-    if not args.set:
+    if args.rest or not args.set:
         raise PreconditionError("usage: lef --set <file> | lef verify <witness>")
     names = [
         ln.strip()

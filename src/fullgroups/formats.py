@@ -190,6 +190,8 @@ def parse_lef_witness(text: str):
         level = int(lines[0][len("lef level="):])
     except ValueError:
         raise ParseError(f"bad witness header {lines[0]!r}")
+    if level < 1:
+        raise ParseError(f"witness level {level} is below 1")
     head, *elements = lines[1].split() if len(lines) > 1 else [""]
     if head != "elements" or not elements:
         raise ParseError("witness needs an 'elements <hash> ...' line after the header")

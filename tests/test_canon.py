@@ -16,8 +16,6 @@ from fullgroups.canon import (
     rotation_escapes,
     separation_parts,
     separation_witness,
-    t_d,
-    t_u,
 )
 from fullgroups import canon
 from fullgroups.clopen import central_cylinder, cylinder
@@ -170,22 +168,6 @@ def test_in_stabilizer():
     assert not in_stabilizer(induced(ODO2, cylinder(ODO2, "0")))
 
 
-def test_band_generators_are_induced_maps():
-    xi = tower_sequence(ODO2).level(3)
-    assert equals(t_u(xi, 0), induced(ODO2, xi.u_set(0)))
-    assert equals(t_u(xi, 2), induced(ODO2, xi.u_set(2)))
-    assert equals(t_d(xi, 1), induced(ODO2, xi.d_set(1)))
-    xif = tower_sequence(FIB).level(2)
-    assert equals(t_u(xif, 1), induced(FIB, xif.u_set(1)))
-    assert equals(t_d(xif, 0), induced(FIB, xif.d_set(0)))
-
-
-def test_band_generator_rejects_wide_band():
-    xi = tower_sequence(ODO2).level(1)
-    with pytest.raises(PreconditionError):
-        t_u(xi, min(xi.heights()) // 2)
-
-
 def test_permutation_recognizer():
     t = shift(ODO2, 1)
     xi = tower_sequence(ODO2).level(3)
@@ -202,7 +184,7 @@ def test_permutation_recognizer():
 
 def test_rotation_recognizer():
     xi = tower_sequence(ODO2).level(3)
-    s = compose(t_u(xi, 0), t_d(xi, 1))
+    s = compose(induced(ODO2, xi.u_set(0)), induced(ODO2, xi.d_set(1)))
     form = is_n_rotation(s, xi)
     assert not isinstance(form, Refusal)
     assert form.u_levels == ((0, 1),)

@@ -9,6 +9,7 @@ import pytest
 
 from fullgroups import cli, systems
 from fullgroups.formats import render_lef_witness
+from fullgroups.group import identity
 from fullgroups.lef import odometer_structure
 from fullgroups.systems import make_system
 
@@ -162,6 +163,19 @@ def test_stabilizer_and_decompose(ws, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+def test_decompose_exits_3_when_a_check_fails(ws, monkeypatch, capsys):
+    # a decomposition that leaves the crossing swap whole in the first factor
+    tmp, run = ws
+    assert run("element", "make", "--system", "odo2", "--out", "sw",
+               "--piece", "11@0 -> 1", "--piece", "00@0 -> -1",
+               "--piece", "01@0 -> 0", "--piece", "10@0 -> 0") == 0
+    monkeypatch.setattr(cli, "kernel_decompose", lambda s, x, y: (s, identity(s.spec)))
+    capsys.readouterr()
+    assert run("decompose", "sw") == 3
+    out = capsys.readouterr().out
+    assert "first factor fixes forward orbit of x: FAIL" in out and out.count("ok") == 3
+
+
 def test_decompose_rejects_nonzero_index(ws):
     tmp, run = ws
     assert run("decompose", "T") == 2
@@ -217,6 +231,15 @@ def test_lef_build_and_verify(ws, capsys):
     assert run("lef", "verify", "w1") == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and out.splitlines()[-1] == "pass"
+
+
+def test_lef_refuses_a_stray_positional(ws, capsys):
+    tmp, run = ws
+    (tmp / "flist.txt").write_text("T\n")
+    capsys.readouterr()
+    assert run("lef", "verfy", "w1", "--set", str(tmp / "flist.txt"), "--out", "w2") == 2
+    assert "usage: lef" in capsys.readouterr().err
+    assert not (tmp / "w2.lef").exists()
 
 
 def test_lef_names_a_cap_the_search_runs_into(ws, monkeypatch, capsys):
@@ -338,6 +361,8 @@ def _edit_entry(lines, value):
     pytest.param(lambda ls: _edit_entry(ls, "1"), 3, id="entry-edited-to-a-repeat"),
     pytest.param(lambda ls: _edit_entry(ls, "99"), 3, id="entry-edited-out-of-range"),
     pytest.param(lambda ls: _edit_entry(ls, "x"), 4, id="entry-edited-to-a-non-number"),
+    pytest.param(lambda ls: ["lef level=0"] + ls[1:], 4, id="level-zero"),
+    pytest.param(lambda ls: ["lef level=-3"] + ls[1:], 4, id="level-negative"),
 ])
 def test_lef_verify_rejects_mutated_witness(readme_witness, capsys, mutate, code):
     tmp, run, lines = readme_witness

@@ -1,10 +1,10 @@
 """Conjugate presentations of one system must agree.
 
-σ and σ² generate the same subshift with the same points (Durand,
+σ, σ² and σ³ generate the same subshift with the same points (Durand,
 Discrete Math. 1998), but they are different specs: different rules,
 different spec hashes and so separate caches, and different fixed-point
 seeds. Each presentation runs the whole stack on its own, so a fault that
-is consistent within one shows as a disagreement between the two.
+is consistent within one shows as a disagreement between two.
 `element_hash` covers the spec, so rendered text is compared instead.
 """
 
@@ -24,10 +24,10 @@ RULES = {
 }
 
 
-def _squared(spec):
+def _power(spec, k):
     return make_system({
         "kind": "substitution",
-        "rule": {a: spec.apply_rule(a, 2) for a in spec.alphabet},
+        "rule": {a: spec.apply_rule(a, k) for a in spec.alphabet},
     })
 
 
@@ -45,9 +45,18 @@ def _readings(spec) -> dict:
     }
 
 
+def _assert_power_agrees(name, k):
+    spec = make_system({"kind": "substitution", "rule": RULES[name]})
+    power = _power(spec, k)
+    assert power.rule_map != spec.rule_map
+    assert _readings(power) == _readings(spec)
+
+
 @pytest.mark.parametrize("name", RULES)
 def test_sigma_and_sigma_squared_agree(name):
-    spec = make_system({"kind": "substitution", "rule": RULES[name]})
-    sq = _squared(spec)
-    assert sq.rule_map != spec.rule_map
-    assert _readings(sq) == _readings(spec)
+    _assert_power_agrees(name, 2)
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_sigma_and_sigma_cubed_agree(name):
+    _assert_power_agrees(name, 3)

@@ -56,7 +56,7 @@ def oracle_accepts(fac) -> bool:
     try:
         p, r = fac.permutation.to_element(), fac.rotation.to_element()
     except PreconditionError:
-        return False  # a band the band maps do not reach
+        return False  # a band past the shortest tower has no band set
     return equals(compose(p, r), fac.element)
 
 

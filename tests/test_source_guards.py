@@ -10,6 +10,9 @@
   that bounds every cylinder search; a search with its own bound fails here.
 - `_LEVEL_CAP` is read only by `canon.search_levels`, the one level search
   behind `factorize` and `lef_map`.
+- In `canon` only `PermutationForm.to_element` builds an element from raw
+  pieces: every band map of a rotation is a `towers.induced` first return,
+  so the band maps' closed form lives only in the table check.
 - A word is a string on both system kinds: no module defines a `Word`
   alias or a `render_word`, and the tuple form `symbols` is read only by
   `group.element_hash`, whose pinned digests hash it.
@@ -111,14 +114,17 @@ def test_every_dataclass_field_is_read_in_src():
 
 
 def _reads(node, name, owner=None):
-    """The enclosing function of each load or import of `name` under node."""
+    """The enclosing function of each load or import of `name` under node,
+    qualified by its class (`Class.method`); None at module level."""
     for child in ast.iter_child_nodes(node):
         field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(child))
         # a name, `module.<name>` or an import, but not the assignment
         stored = isinstance(getattr(child, "ctx", None), ast.Store)
         if field and getattr(child, field) == name and not stored:
             yield owner
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if owner is None else f"{owner}.{child.name}"
         yield from _reads(child, name, inner)
 
 
@@ -130,6 +136,11 @@ def test_the_depth_cap_is_read_in_one_function():
 def test_the_level_cap_is_read_in_one_function():
     reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "_LEVEL_CAP")}
     assert reads == {("canon", "search_levels")}
+
+
+def test_canon_builds_raw_pieces_only_for_the_permutation_form():
+    reads = set(_reads(dict(_modules())["canon"], "_build"))
+    assert reads == {None, "PermutationForm.to_element"}
 
 
 def test_a_word_has_one_type():
