@@ -101,10 +101,6 @@ class RotationForm:
     u_levels: tuple  # sorted (band index, exponent), exponents nonzero
     d_levels: tuple
 
-    def rotation_number(self) -> int:
-        exps = [abs(e) for _, e in self.u_levels] + [abs(e) for _, e in self.d_levels]
-        return max(exps, default=0)
-
     def supportive_sets(self) -> tuple[frozenset, frozenset]:
         return (
             frozenset(i for i, _ in self.u_levels),

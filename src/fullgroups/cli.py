@@ -143,7 +143,7 @@ def cmd_element(ws: Workspace, args) -> int:
         _need(args.out, "--out")
     if args.action == "eq" and len(args.names) != 2:
         raise PreconditionError("eq compares exactly two elements")
-    if args.action != "make" and not args.names:
+    if not args.names:
         raise PreconditionError("missing input element name")
     if args.action == "compose":
         named = [ws.load_element(n) for n in args.names]

@@ -159,10 +159,6 @@ class ClopenSet:
     def _decode(self) -> list:
         return self.spec.decode(self.mask, self.hi - self.lo + 1)
 
-    @property
-    def words(self) -> frozenset:
-        return frozenset(self._decode())
-
     def sorted_words(self) -> list:
         return sorted(self._decode())
 

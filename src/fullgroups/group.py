@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cache
 
 from .clopen import (
     ClopenSet,
     central_cylinder,
     check_partition,
-    cylinder,
-    empty,
     full,
     union_all,
 )
 # alias kept: bench/tests/test_tracer.py checks the tracer replaces it here too
 from .clopen import _expand_words  # noqa: F401
 from .errors import NotPartitionError, PreconditionError
-from .systems import SystemSpec, PointRep, base_point, language
+# `language` stays a module-level alias: bench/tracer.py wraps it in each layer
+from .systems import SystemSpec, PointRep, base_point, language  # noqa: F401
 
 # Largest ladder size any cylinder search tries; `ladder_sizes` enforces it.
 _DEPTH_CAP = 64
@@ -131,11 +129,6 @@ def cocycle_at(s: GroupElement, p: PointRep) -> int:
     raise PreconditionError("point escaped the piece partition (invalid element?)")
 
 
-def image(s: GroupElement, a: ClopenSet) -> ClopenSet:
-    """Forward image S(A), exact."""
-    return union_all(s.spec, (a.intersect(c).translate(n) for n, c in s.pieces))
-
-
 def support(s: GroupElement) -> ClopenSet:
     """Closure-free exact support: union of pieces with nonzero power.
 
@@ -233,56 +226,6 @@ def disjoint_cylinder_block(spec: SystemSpec, m: int) -> ClopenSet:
         u = central_cylinder(spec, point, size)
         if first_overlap(u, range(1, m)) is None:
             return u
-
-
-def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
-    """Lexicographically least proper cylinder inside the complement of `used`.
-
-    Proper: a sibling word is left behind at the same window, so later calls
-    always find room. Deterministic."""
-    rest = used.complement()
-    if rest.is_empty():
-        raise PreconditionError("nothing left to carve")
-    for size in ladder_sizes(spec.floor, "proper cylinder to carve"):
-        lo, hi = spec.ladder_window(size)
-        words = sorted(
-            w for w in language(spec, hi - lo + 1) if cylinder(spec, w, lo).subset(rest)
-        )
-        if len(words) >= 2:
-            return cylinder(spec, words[0], lo)
-
-
-def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
-    """k-th generator Q_k = T_{B'} T_{B''}^-1 of an infinite direct sum of Z.
-
-    The generators have disjoint supports A_k = B'_k | B''_k with
-    B'' = T^q(B'), so they commute pairwise, and each has index 0.
-    Deterministic: the A_k are carved from a fixed sequence of pairwise
-    disjoint cylinders.
-    """
-    if k < 1:
-        raise PreconditionError("generators are numbered from 1")
-    return _directsum_step(spec, k)[0]
-
-
-@cache
-def _directsum_step(spec: SystemSpec, k: int) -> tuple[GroupElement, ClopenSet]:
-    """(Q_k, the union of the supports of Q_1, ..., Q_k)."""
-    from .towers import first_return, induced
-
-    used = _directsum_step(spec, k - 1)[1] if k > 1 else empty(spec)
-    cyl = _carve_next_cylinder(spec, used)
-    # inside cyl, find a return cell and a sub-cylinder moved off itself
-    rf = first_return(spec, cyl)
-    t = min(rf.cells)
-    for depth in ladder_sizes(spec.floor, "separated sub-cylinder"):
-        lo, hi = spec.ladder_window(depth)
-        for w in sorted(language(spec, hi - lo + 1)):
-            b_prime = cylinder(spec, w, lo).intersect(rf.cells[t])
-            if not b_prime.is_empty() and b_prime.translate(t).disjoint(b_prime):
-                b_second = b_prime.translate(t)
-                gen = compose(induced(spec, b_prime), invert(induced(spec, b_second)))
-                return gen, used.union(b_prime).union(b_second)
 
 
 # -- agreement on a set, used by the canonical-form machinery --------------

@@ -12,7 +12,6 @@ level permutations on top of a free-abelian kernel of induced maps.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,15 +53,6 @@ class FinitePermGroupDesc:
 
     heights: tuple
 
-    def order(self) -> int:
-        n = 1
-        for h in self.heights:
-            n *= math.factorial(h)
-        return n
-
-    def identity(self) -> HElement:
-        return tuple(tuple(range(h)) for h in self.heights)
-
     def contains(self, a: HElement) -> bool:
         return len(a) == len(self.heights) and all(map(is_permutation, a, self.heights))
 
@@ -81,21 +71,6 @@ class FinitePermGroupDesc:
                 inv[j] = i
             out.append(tuple(inv))
         return tuple(out)
-
-    def element_order(self, a: HElement) -> int:
-        n = 1
-        for pv in a:
-            seen = set()
-            for start in range(len(pv)):
-                if start in seen:
-                    continue
-                length, j = 0, start
-                while j not in seen:
-                    seen.add(j)
-                    j = pv[j]
-                    length += 1
-                n = n * length // math.gcd(n, length)
-        return n
 
 
 def perm_group(xi: KRPartition) -> FinitePermGroupDesc:
@@ -209,11 +184,7 @@ def verify_lef(w: LEFWitness) -> Report:
 
 def _kernel_element(spec, xi: KRPartition, exps) -> GroupElement:
     m = xi.heights()[0]
-    pieces = [(xi.atom(0, i), e * m) for i, e in enumerate(exps) if e != 0]
-    rest = [xi.atom(0, i) for i, e in enumerate(exps) if e == 0]
-    for a in rest:
-        pieces.append((a, 0))
-    return make_element(spec, pieces)
+    return make_element(spec, [(xi.atom(0, i), e * m) for i, e in enumerate(exps)])
 
 
 def structure_partition(spec: SystemSpec, n: int) -> KRPartition:

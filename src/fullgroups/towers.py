@@ -81,10 +81,10 @@ def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, 
             (len(h) - width, spec.word_window(a.lo, len(h)), 1 << spec.word_bit(h, len(h)))
             for h in hulls
         ]
-    if max(k for k, _, _ in cells) > _RETURN_CEILING:
+    longest = max(k for k, _, _ in cells)
+    if longest > _RETURN_CEILING:
         raise VerificationError(
-            f"return time exceeded _RETURN_CEILING = 2^{_RETURN_CEILING.bit_length() - 1}; "
-            "system not minimal?"
+            f"return time {longest} exceeds _RETURN_CEILING = 2^{_RETURN_CEILING.bit_length() - 1}"
         )
     return cells
 

@@ -4,15 +4,21 @@ They read an element's cocycle one piece at a time, the slow way the
 level tables replace, peel first returns by clopen algebra and build a
 tower level from them, move an odometer digit stream by digit
 addition with carry, and integrate an odometer cocycle against the
-invariant measure.
+invariant measure. They also take the forward image of a clopen set,
+the order of a level permutation as the lcm of its cycle lengths, and
+carve the generators of an infinite direct sum of Z from disjoint
+cylinders.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
-from fullgroups.clopen import ClopenSet, _expand_words, cylinder
-from fullgroups.group import GroupElement
-from fullgroups.systems import language
+from fullgroups.clopen import ClopenSet, _expand_words, cylinder, empty, union_all
+from fullgroups.errors import PreconditionError
+from fullgroups.group import GroupElement, compose, invert, ladder_sizes
+from fullgroups.systems import SystemSpec, language
+from fullgroups.towers import first_return, induced
 
 
 def cocycle_table(s: GroupElement) -> tuple[tuple[int, int], dict]:
@@ -122,3 +128,69 @@ def odometer_shifted(spec, pre: tuple, period: tuple, n: int) -> tuple[tuple, tu
     while len(digits) < end:
         digits.append(stream_digit(pre, period, len(digits)))
     return tuple(digits[:end]), period
+
+
+def image(s: GroupElement, a: ClopenSet) -> ClopenSet:
+    """Forward image S(A), exact."""
+    return union_all(s.spec, (a.intersect(c).translate(n) for n, c in s.pieces))
+
+
+def perm_order(a) -> int:
+    """Order of a level permutation, one one-line permutation per tower:
+    the lcm of the lengths of the cycles through each level."""
+
+    def cycle_length(pv, i):
+        j, length = pv[i], 1
+        while j != i:
+            j, length = pv[j], length + 1
+        return length
+
+    return lcm(*(cycle_length(pv, i) for pv in a for i in range(len(pv))))
+
+
+def _carve_next_cylinder(spec: SystemSpec, used: ClopenSet) -> ClopenSet:
+    """Lexicographically least proper cylinder inside the complement of `used`.
+
+    Proper: a sibling word is left behind at the same window, so later calls
+    always find room. Deterministic."""
+    rest = used.complement()
+    if rest.is_empty():
+        raise PreconditionError("nothing left to carve")
+    for size in ladder_sizes(spec.floor, "proper cylinder to carve"):
+        lo, hi = spec.ladder_window(size)
+        words = sorted(
+            w for w in language(spec, hi - lo + 1) if cylinder(spec, w, lo).subset(rest)
+        )
+        if len(words) >= 2:
+            return cylinder(spec, words[0], lo)
+
+
+def directsum_generator(spec: SystemSpec, k: int) -> GroupElement:
+    """k-th generator Q_k = T_{B'} T_{B''}^-1 of an infinite direct sum of Z.
+
+    The generators have disjoint supports A_k = B'_k | B''_k with
+    B'' = T^q(B'), so they commute pairwise, and each has index 0.
+    Deterministic: the A_k are carved from a fixed sequence of pairwise
+    disjoint cylinders.
+    """
+    if k < 1:
+        raise PreconditionError("generators are numbered from 1")
+    return _directsum_step(spec, k)[0]
+
+
+@cache
+def _directsum_step(spec: SystemSpec, k: int) -> tuple[GroupElement, ClopenSet]:
+    """(Q_k, the union of the supports of Q_1, ..., Q_k)."""
+    used = _directsum_step(spec, k - 1)[1] if k > 1 else empty(spec)
+    cyl = _carve_next_cylinder(spec, used)
+    # inside cyl, find a return cell and a sub-cylinder moved off itself
+    rf = first_return(spec, cyl)
+    t = min(rf.cells)
+    for depth in ladder_sizes(spec.floor, "separated sub-cylinder"):
+        lo, hi = spec.ladder_window(depth)
+        for w in sorted(language(spec, hi - lo + 1)):
+            b_prime = cylinder(spec, w, lo).intersect(rf.cells[t])
+            if not b_prime.is_empty() and b_prime.translate(t).disjoint(b_prime):
+                b_second = b_prime.translate(t)
+                gen = compose(induced(spec, b_prime), invert(induced(spec, b_second)))
+                return gen, used.union(b_prime).union(b_second)

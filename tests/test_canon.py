@@ -114,8 +114,9 @@ def test_factorize_rejects_low_level():
 def test_rotation_bounds():
     for s in products(FIB, 5, seed=5):
         fac = factorize(s)
-        assert fac.rotation.rotation_number() <= 1
-        su, sd = fac.rotation.supportive_sets()
+        rot = fac.rotation
+        assert all(abs(e) == 1 for _, e in rot.u_levels + rot.d_levels)
+        su, sd = rot.supportive_sets()
         assert all(0 <= i < fac.n0 for i in su | sd)
 
 

@@ -12,13 +12,11 @@ from fullgroups.group import (
     cocycle_bound,
     commutator,
     compose,
-    directsum_generator,
     disjoint_cylinder_block,
     element_hash,
     embed_symmetric,
     equals,
     identity,
-    image,
     invert,
     is_identity,
     make_element,
@@ -29,7 +27,8 @@ from fullgroups.group import (
 )
 from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, make_system
-from oracles import cocycle_table, cocycle_values_on
+import oracles
+from oracles import cocycle_table, cocycle_values_on, directsum_generator, image
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
@@ -233,9 +232,9 @@ def test_swaps_is_the_hand_built_involution():
 
 @pytest.fixture
 def fresh_caches():
-    group._directsum_step.cache_clear()
+    oracles._directsum_step.cache_clear()
     yield
-    group._directsum_step.cache_clear()
+    oracles._directsum_step.cache_clear()
 
 
 def _kernel_element():
@@ -257,7 +256,7 @@ CAPPED_SEARCHES = {
 @pytest.mark.parametrize("name", sorted(CAPPED_SEARCHES))
 def test_every_cylinder_search_stops_at_the_depth_cap(name, monkeypatch, fresh_caches):
     CAPPED_SEARCHES[name]()  # succeeds at the default cap
-    group._directsum_step.cache_clear()
+    oracles._directsum_step.cache_clear()
     monkeypatch.setattr(group, "_DEPTH_CAP", 0)
     with pytest.raises(PreconditionError, match="within _DEPTH_CAP = 0$"):
         CAPPED_SEARCHES[name]()

@@ -70,7 +70,7 @@ def _translate(spec, words, win, n):
 
 
 def _form(c: ClopenSet):
-    return c.lo, c.hi, c.words
+    return c.lo, c.hi, frozenset(c.sorted_words())
 
 
 @st.composite
@@ -154,7 +154,7 @@ def _values_by_word_table(s, a):
     win, table = cocycle_table(s)
     H = _hull(spec, win, (a.lo, a.hi))
     i, j = win[0] - H[0], win[1] - H[0] + 1
-    return {table[w[i:j]] for w in _expand(spec, a.words, (a.lo, a.hi), H)}
+    return {table[w[i:j]] for w in _expand(spec, frozenset(a.sorted_words()), (a.lo, a.hi), H)}
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,10 +16,19 @@
 - A word is a string on both system kinds: no module defines a `Word`
   alias or a `render_word`, and the tuple form `symbols` is read only by
   `group.element_hash`, whose pinned digests hash it.
+- `src/` ships only what the library and the CLI reach: every function,
+  method and class is read from `__all__`, from module level or from
+  another reached definition. Code only the tests need lives in
+  `tests/oracles.py`.
+- No module imports itself or a module of a higher layer, inside a
+  function body included: the layers run errors → systems → clopen →
+  group → towers → canon → lef → sampling → formats → acceptance → cli.
 """
 
 import ast
 import pathlib
+
+import fullgroups
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fullgroups"
 ALLOWED_DICT_CACHES: set = set()
@@ -113,19 +122,28 @@ def test_every_dataclass_field_is_read_in_src():
     assert not unread, sorted(unread)
 
 
-def _reads(node, name, owner=None):
-    """The enclosing function of each load or import of `name` under node,
-    qualified by its class (`Class.method`); None at module level."""
+def _loads(node, owner=None):
+    """(owner, name) for each load or import under node: the owner is the
+    enclosing definition, qualified by its class (`Class.method`), or None
+    at module level."""
     for child in ast.iter_child_nodes(node):
         field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(child))
         # a name, `module.<name>` or an import, but not the assignment
         stored = isinstance(getattr(child, "ctx", None), ast.Store)
-        if field and getattr(child, field) == name and not stored:
-            yield owner
-        inner = owner
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = child.name if owner is None else f"{owner}.{child.name}"
-        yield from _reads(child, name, inner)
+        if field and not stored:
+            yield owner, getattr(child, field)
+        yield from _loads(child, _qualify(child, owner))
+
+
+def _qualify(node, owner):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name if owner is None else f"{owner}.{node.name}"
+    return owner
+
+
+def _reads(node, name):
+    """The owner of each load or import of `name` under node."""
+    return (owner for owner, read in _loads(node) if read == name)
 
 
 def test_the_depth_cap_is_read_in_one_function():
@@ -154,3 +172,64 @@ def test_a_word_has_one_type():
     assert not defined, sorted(defined)
     reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "symbols")}
     assert reads == {("group", "element_hash")}
+
+
+def _definitions(node, owner=None):
+    """The qualified name of each function and class under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = _qualify(child, owner)
+        if inner != owner:
+            yield inner
+        yield from _definitions(child, inner)
+
+
+# Definitions kept although nothing in `src/` reaches them; each is
+# explained in CHANGES.md.
+UNREACHED_ALLOWED = {("formats", "parse_towers"), ("formats", "parse_factorization")}
+
+
+def test_every_definition_in_src_is_reached():
+    """A definition is reached when `__all__` names it, when it is a dunder
+    method, or when module-level code or a reached definition other than
+    itself reads or imports its name.
+
+    Matching is by name alone, as in `_reads`: a definition whose name a
+    reached one reads for another object (a method `order` beside
+    `group.order`, say) counts as reached.
+    """
+    modules = dict(_modules())
+    readers: dict = {}
+    for module, tree in modules.items():
+        for owner, name in _loads(tree):
+            readers.setdefault(name, set()).add((module, owner))
+    live = {(module, None) for module in modules}
+
+    def reached(module, q):
+        name = q.rpartition(".")[2]
+        if name in fullgroups.__all__ or (name.startswith("__") and name.endswith("__")):
+            return True
+        return any(r in live and r != (module, q) for r in readers.get(name, ()))
+
+    unreached = {(module, q) for module, tree in modules.items() for q in _definitions(tree)}
+    while found := {d for d in unreached if reached(*d)}:
+        live |= found
+        unreached -= found
+    assert unreached == UNREACHED_ALLOWED, sorted(unreached ^ UNREACHED_ALLOWED)
+
+
+LAYERS = (
+    "errors", "systems", "clopen", "group", "towers", "canon", "lef",
+    "sampling", "formats", "acceptance", "cli", "__init__",
+)
+
+
+def test_no_module_imports_a_higher_layer():
+    modules = dict(_modules())
+    assert set(modules) == set(LAYERS)
+    upward = set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward |= {(module, t) for t in targets if LAYERS.index(t) >= LAYERS.index(module)}
+    assert not upward, sorted(upward)

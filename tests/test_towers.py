@@ -11,7 +11,6 @@ from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import (
     cocycle_at,
     compose,
-    directsum_generator,
     invert,
     is_identity,
     support,
@@ -25,7 +24,7 @@ from fullgroups.towers import (
     refine_against,
     tower_sequence,
 )
-from oracles import peeled_first_return, return_word_towers
+from oracles import directsum_generator, peeled_first_return, return_word_towers
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
@@ -35,8 +34,9 @@ FIB = make_system({"kind": "substitution", "alphabet": "ab", "rule": {"a": "ab",
 def test_return_ceiling_names_its_knob(monkeypatch):
     # the depth-3 cylinder returns after 8 steps, past a ceiling of 4
     monkeypatch.setattr(towers, "_RETURN_CEILING", 4)
-    with pytest.raises(VerificationError, match=r"_RETURN_CEILING = 2\^2\b"):
+    with pytest.raises(VerificationError, match=r"_RETURN_CEILING = 2\^2\b") as err:
         first_return(ODO2, cylinder(ODO2, "000"))
+    assert "return time 8 " in str(err.value) and "minimal" not in str(err.value)
     assert towers._RETURN_CEILING == 4
     assert sorted(first_return(ODO2, cylinder(ODO2, "00")).cells) == [4]
 
