@@ -27,15 +27,14 @@ from .errors import PreconditionError, VerificationError
 from .group import (
     GroupElement,
     _build,
-    agree_on,
     cocycle_at,
     cocycle_bound,
     commutator,
     compose,
-    equals,
     first_overlap,
     identity,
     invert,
+    is_identity,
     is_permutation,
     ladder_sizes,
     support,
@@ -89,9 +88,6 @@ class PermutationForm:
                 raw.append((pv[i] - i, self.xi.atom(v, i)))
         return _build(self.xi.spec, raw, validate=False)
 
-    def is_trivial(self) -> bool:
-        return all(pv[i] == i for pv in self.perms for i in range(len(pv)))
-
 
 @dataclass(frozen=True)
 class RotationForm:
@@ -111,7 +107,10 @@ class RotationForm:
         out = identity(self.xi.spec)
         for band_of, levels in ((self.xi.u_set, self.u_levels), (self.xi.d_set, self.d_levels)):
             for i, e in levels:
-                out = compose(out, _power(induced(self.xi.spec, band_of(i)), e))
+                gen = induced(self.xi.spec, band_of(i))
+                step = gen if e > 0 else invert(gen)
+                for _ in range(abs(e)):
+                    out = compose(out, step)
         return out
 
     def is_trivial(self) -> bool:
@@ -129,15 +128,6 @@ class Factorization:
     @property
     def xi(self) -> KRPartition:
         return self.permutation.xi
-
-
-def _power(s: GroupElement, e: int) -> GroupElement:
-    if e < 0:
-        return _power(invert(s), -e)
-    out = identity(s.spec)
-    for _ in range(e):
-        out = compose(out, s)
-    return out
 
 
 def _atom_values(q_elem: GroupElement, xi: KRPartition):
@@ -178,29 +168,41 @@ def is_n_permutation(s: GroupElement, xi: KRPartition):
 
 
 def is_n_rotation(s: GroupElement, xi: KRPartition):
-    """RotationForm when s is a product of band-induced-map powers, else Refusal."""
+    """RotationForm when s is a product of band-induced-map powers, else Refusal.
+
+    Each band s moves is peeled off with its own induced map; what is left
+    is RotationForm.to_element()^-1∘s, and s is accepted iff it is the identity.
+    """
     min_h = min(xi.heights())
-    half = min_h // 2
     r_max = cocycle_bound(s) // min_h + 1
     supp = support(s)
-    u_levels = []
-    d_levels = []
+    rest = s
+    u_levels, d_levels = [], []
     for band_of, levels in ((xi.u_set, u_levels), (xi.d_set, d_levels)):
-        for i in range(half):
+        for i in range(min_h // 2):
             band = band_of(i)
             if supp.disjoint(band):
                 continue
-            gen = induced(xi.spec, band)
-            for e in range(-r_max, r_max + 1):
-                if e != 0 and agree_on(s, _power(gen, e), band):
-                    levels.append((i, e))
-                    break
-            else:
+            peeled = _peel(rest, induced(xi.spec, band), band, r_max)
+            if peeled is None:
                 return Refusal("no band exponent matches", band)
-    form = RotationForm(xi, tuple(u_levels), tuple(d_levels))
-    if not equals(form.to_element(), s):
+            rest, e = peeled
+            levels.append((i, e))
+    if not is_identity(rest):
         return Refusal("support extends past the boundary bands")
-    return form
+    return RotationForm(xi, tuple(u_levels), tuple(d_levels))
+
+
+def _peel(rest: GroupElement, gen: GroupElement, band: ClopenSet, r_max: int):
+    """(gen^-e∘rest, e) for the first e of ±1, ..., ±r_max at which
+    gen^-e∘rest fixes every point of the band, or None."""
+    up, down, inv = rest, rest, invert(gen)
+    for e in range(1, r_max + 1):
+        up, down = compose(inv, up), compose(gen, down)
+        for stepped, exp in ((up, e), (down, -e)):
+            if all(n == 0 or c.disjoint(band) for n, c in stepped.pieces):
+                return stepped, exp
+    return None
 
 
 def _level_data(q_elem: GroupElement, xi: KRPartition, q: int):

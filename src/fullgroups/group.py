@@ -227,13 +227,3 @@ def disjoint_cylinder_block(spec: SystemSpec, m: int) -> ClopenSet:
         if first_overlap(u, range(1, m)) is None:
             return u
 
-
-# -- agreement on a set, used by the canonical-form machinery --------------
-
-
-def agree_on(s1: GroupElement, s2: GroupElement, a: ClopenSet) -> bool:
-    """True iff the two elements act identically on every point of A."""
-    if a.is_empty():
-        return True
-    diff = compose(invert(s2), s1)
-    return support(diff).disjoint(a)

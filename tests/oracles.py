@@ -7,16 +7,28 @@ addition with carry, and integrate an odometer cocycle against the
 invariant measure. They also take the forward image of a clopen set,
 the order of a level permutation as the lcm of its cycle lengths, and
 carve the generators of an infinite direct sum of Z from disjoint
-cylinders.
+cylinders. `rotation_by_search` recognizes a rotation the slow way the
+peel in `canon.is_n_rotation` replaces: per band it tries every exponent
+with `power` and `agree_on`, then rebuilds the form as an element.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
+from fullgroups.canon import Refusal, RotationForm
 from fullgroups.clopen import ClopenSet, _expand_words, cylinder, empty, union_all
 from fullgroups.errors import PreconditionError
-from fullgroups.group import GroupElement, compose, invert, ladder_sizes
+from fullgroups.group import (
+    GroupElement,
+    cocycle_bound,
+    compose,
+    equals,
+    identity,
+    invert,
+    ladder_sizes,
+    support,
+)
 from fullgroups.systems import SystemSpec, language
 from fullgroups.towers import first_return, induced
 
@@ -194,3 +206,47 @@ def _directsum_step(spec: SystemSpec, k: int) -> tuple[GroupElement, ClopenSet]:
                 b_second = b_prime.translate(t)
                 gen = compose(induced(spec, b_prime), invert(induced(spec, b_second)))
                 return gen, used.union(b_prime).union(b_second)
+
+
+def power(s: GroupElement, e: int) -> GroupElement:
+    """s^e, composed from the identity."""
+    if e < 0:
+        return power(invert(s), -e)
+    out = identity(s.spec)
+    for _ in range(e):
+        out = compose(out, s)
+    return out
+
+
+def agree_on(s1: GroupElement, s2: GroupElement, a: ClopenSet) -> bool:
+    """True iff the two elements act identically on every point of A."""
+    if a.is_empty():
+        return True
+    diff = compose(invert(s2), s1)
+    return support(diff).disjoint(a)
+
+
+def rotation_by_search(s: GroupElement, xi):
+    """RotationForm or Refusal, as `canon.is_n_rotation` answers, found by
+    trying each band exponent e in -r_max..r_max against s and then
+    checking the rebuilt form equals s."""
+    min_h = min(xi.heights())
+    r_max = cocycle_bound(s) // min_h + 1
+    supp = support(s)
+    u_levels, d_levels = [], []
+    for band_of, levels in ((xi.u_set, u_levels), (xi.d_set, d_levels)):
+        for i in range(min_h // 2):
+            band = band_of(i)
+            if supp.disjoint(band):
+                continue
+            gen = induced(xi.spec, band)
+            for e in range(-r_max, r_max + 1):
+                if e != 0 and agree_on(s, power(gen, e), band):
+                    levels.append((i, e))
+                    break
+            else:
+                return Refusal("no band exponent matches", band)
+    form = RotationForm(xi, tuple(u_levels), tuple(d_levels))
+    if not equals(form.to_element(), s):
+        return Refusal("support extends past the boundary bands")
+    return form

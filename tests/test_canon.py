@@ -35,15 +35,18 @@ from fullgroups.group import (
     order,
     shift,
     support,
+    swaps,
 )
 from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, make_system
 from fullgroups.towers import induced, tower_sequence
-from oracles import index_by_measure
+from oracles import index_by_measure, power, rotation_by_search
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO32 = make_system({"kind": "odometer", "bases": [3, 2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
+TM = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})
+ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
 
 
 def sample_pool(spec):
@@ -206,8 +209,77 @@ def test_forms_exclude_each_other():
             assert isinstance(is_n_permutation(r, xi), Refusal)
         p = fac.permutation.to_element()
         rec = is_n_rotation(p, xi)
-        if not fac.permutation.is_trivial():
+        if any(pv != tuple(range(len(pv))) for pv in fac.permutation.perms):
             assert isinstance(rec, Refusal)
+
+
+def band_products(xi, count, seed):
+    """Products of ±1/±2 powers of the induced maps on up to two U bands
+    and up to two D bands of the level, each also composed on either side
+    with a product over the generator pool."""
+    rng = random.Random(seed)
+    half = min(xi.heights()) // 2
+    out = []
+    for k in range(count):
+        s = identity(xi.spec)
+        for band_of in (xi.u_set, xi.d_set):
+            for i in rng.sample(range(half), rng.randint(0, min(2, half))):
+                s = compose(s, power(induced(xi.spec, band_of(i)), rng.choice((-2, -1, 1, 2))))
+        g = random_products(xi.spec, 1, seed + k, max_len=2)[0]
+        out += [s, compose(g, s), compose(s, g)]
+    return out
+
+
+ROTATION_LEVELS = {
+    "odometer-2": (ODO2, (2, 3, 4)),
+    "odometer-2-3": (ODO23, (1, 2)),
+    "fibonacci": (FIB, (1, 2, 3)),
+    "thue-morse": (TM, (1,)),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, level",
+    [(spec, n) for spec, levels in ROTATION_LEVELS.values() for n in levels],
+    ids=[f"{name}-level-{n}" for name, (_, levels) in ROTATION_LEVELS.items() for n in levels],
+)
+def test_rotation_peel_agrees_with_the_search(spec, level):
+    xi = tower_sequence(spec).level(level)
+    for s in band_products(xi, 3, seed=level):
+        form, searched = is_n_rotation(s, xi), rotation_by_search(s, xi)
+        assert bool(form) == bool(searched)
+        if form:
+            assert (form.u_levels, form.d_levels) == (searched.u_levels, searched.d_levels)
+            assert equals(form.to_element(), s)
+
+
+def test_rotation_peel_reads_every_band_and_refuses_what_is_left():
+    xi = tower_sequence(FIB).level(1)
+    s = compose(induced(FIB, xi.u_set(0)), induced(FIB, xi.d_set(2)))
+    # atoms 5 and 6 of the height-13 tower lie in no band
+    assert xi.heights()[1] == 13
+    tau = swaps(FIB, [(xi.atom(1, 5), 1)])
+    r = is_n_rotation(compose(s, tau), xi)
+    assert isinstance(r, Refusal) and r.reason == "support extends past the boundary bands"
+    form = is_n_rotation(compose(s, induced(FIB, xi.u_set(0))), xi)
+    assert (form.u_levels, form.d_levels) == (((0, 2),), ((2, 1),))
+    form = is_n_rotation(compose(s, induced(FIB, xi.d_set(1))), xi)
+    assert (form.u_levels, form.d_levels) == (((0, 1),), ((1, 1), (2, 1)))
+
+
+def test_rotation_recognizer_builds_each_band_map_once(monkeypatch):
+    xi = tower_sequence(FIB).level(1)
+    s = compose(power(induced(FIB, xi.u_set(0)), 2), induced(FIB, xi.d_set(2)))
+    calls = []
+
+    def counted(spec, a):
+        calls.append(a)
+        return induced(spec, a)
+
+    monkeypatch.setattr(canon, "induced", counted)
+    form = is_n_rotation(s, xi)
+    assert form.u_levels == ((0, 2),) and form.d_levels == ((2, 1),)
+    assert calls == [xi.u_set(0), xi.d_set(2)]
 
 
 def test_rotation_part_has_infinite_order():
@@ -274,7 +346,7 @@ def _swap_sites_by_scan(spec, x, y, q):
 
 @pytest.mark.parametrize(
     "spec",
-    [ODO2, ODO32, FIB, make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})],
+    [ODO2, ODO32, FIB, TM],
     ids=["odometer-2", "odometer-3-2", "fibonacci", "thue-morse"],
 )
 def test_swap_site_is_the_first_disjoint_one(spec):

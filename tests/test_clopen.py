@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fullgroups import systems
 from fullgroups.clopen import (
     ClopenSet,
+    _expand_words,
     check_partition,
     cylinder,
     empty,
@@ -158,7 +159,15 @@ def test_boolean_algebra_laws(sa, sb, which):
     assert A.difference(B) == A.intersect(B.complement())
     # De Morgan
     assert A.union(B).complement() == A.complement().intersect(B.complement())
-    assert frozenset(A.union(B).sorted_words()) is not None
+    # word by word on the widest of the three windows: union is A's words or B's
+    U = A.union(B)
+    size = max(spec.ladder_size(c.lo, c.hi) for c in (A, B, U))
+    lo, hi = spec.ladder_window(size)
+
+    def words(c):
+        return set(spec.decode(_expand_words(spec, c.mask, (c.lo, c.hi), size), hi - lo + 1))
+
+    assert words(U) == words(A) | words(B)
     assert A.subset(A.union(B))
     assert A.intersect(B).subset(A)
 

@@ -7,7 +7,6 @@ from fullgroups.clopen import cylinder, empty, full
 from fullgroups.errors import NotPartitionError, PreconditionError
 from fullgroups import canon, group
 from fullgroups.group import (
-    agree_on,
     cocycle_at,
     cocycle_bound,
     commutator,
@@ -28,7 +27,7 @@ from fullgroups.group import (
 from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, make_system
 import oracles
-from oracles import cocycle_table, cocycle_values_on, directsum_generator, image
+from oracles import agree_on, cocycle_table, cocycle_values_on, directsum_generator, image
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
