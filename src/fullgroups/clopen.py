@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotPartitionError, PreconditionError
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
-from .systems import SystemSpec, PointRep, language, point_window  # noqa: F401
+from .systems import SystemSpec, PointRep, language  # noqa: F401
 
 
 class WordMask(int):
@@ -131,8 +131,7 @@ class ClopenSet:
         return ClopenSet._canonical(self.spec, mask, (lo, hi))
 
     def contains_point(self, p: PointRep) -> bool:
-        word = point_window(p, self.lo, self.hi)
-        return bool(self.mask >> self.spec.word_bit(word, self.hi - self.lo + 1) & 1)
+        return bool(self.mask >> p.bit(self.lo, self.hi) & 1)
 
     def fits_in_radius(self, radius: int) -> bool:
         """True iff the set lies inside a single central cylinder of the radius.

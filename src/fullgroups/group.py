@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .clopen import (
     ClopenSet,
@@ -23,11 +24,11 @@ from .clopen import (
     full,
     union_all,
 )
-# alias kept: bench/tests/test_tracer.py checks the tracer replaces it here too
-from .clopen import _expand_words  # noqa: F401
+# bench/tests/test_tracer.py checks the tracer replaces this alias too
+from .clopen import _expand_words
 from .errors import NotPartitionError, PreconditionError
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
-from .systems import SystemSpec, PointRep, base_point, language  # noqa: F401
+from .systems import SystemSpec, PointRep, _bits, base_point, language  # noqa: F401
 
 # Largest ladder size any cylinder search tries; `ladder_sizes` enforces it.
 _DEPTH_CAP = 64
@@ -42,6 +43,22 @@ class GroupElement:
 
     def cocycle_values(self) -> list[int]:
         return [n for n, _ in self.pieces]
+
+    @cached_property
+    def table(self) -> tuple[int, int, list]:
+        """(lo, hi, powers): the power on each word of the hull window of
+        the pieces, by its word-index bit. On an odometer the bits are the
+        residues mod p_1...p_{hi+1}."""
+        spec = self.spec
+        size = max(spec.ladder_size(c.lo, c.hi) for _, c in self.pieces)
+        lo, hi = spec.ladder_window(size)
+        powers = [None] * spec.full_mask(hi - lo + 1).bit_length()
+        for n, c in self.pieces:
+            for bit in _bits(_expand_words(spec, c.mask, (c.lo, c.hi), size)):
+                powers[bit] = n
+        if None in powers:
+            raise PreconditionError("the pieces leave a gap (invalid element?)")
+        return lo, hi, powers
 
     def __repr__(self):
         return f"GroupElement({len(self.pieces)} pieces, powers {self.cocycle_values()})"
@@ -123,10 +140,9 @@ def commutator(s1: GroupElement, s2: GroupElement) -> GroupElement:
 
 
 def cocycle_at(s: GroupElement, p: PointRep) -> int:
-    for n, c in s.pieces:
-        if c.contains_point(p):
-            return n
-    raise PreconditionError("point escaped the piece partition (invalid element?)")
+    """s's power at the point: one read of its table."""
+    lo, hi, powers = s.table
+    return powers[p.bit(lo, hi)]
 
 
 def support(s: GroupElement) -> ClopenSet:

@@ -31,7 +31,15 @@ a given width is one int bitmask over that width's word index.
   word; T^n only moves the window.
 
 A point of either kind is a fixed stream plus an orbit offset `shift`:
-`shifted(n)` adds n to it, and `window` applies it when it reads.
+`shifted(n)` adds n to it, and `window` and `bit` apply it when they read.
+`bit(lo, hi)` is the word-index bit of the point's word on a window, so a
+set holds the point iff that bit of its mask is set: on an odometer the
+bit is (stream value + shift) mod p_1...p_{hi+1}, read with no word built.
+
+Both specs read an element's cocycle on the atoms of a tower level
+(`cocycle_rows`). An odometer reads the element's residue table: atom i of
+the tower over base residue v is the residue v + i. A subshift reads the
+level's atom masks.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ class OdometerSpec:
     def base_at(self, i: int) -> int:
         return self.bases[i % len(self.bases)]
 
+    @cache
     def block_size(self, depth: int) -> int:
         """Number of digit words of the given depth, i.e. p_1 * ... * p_depth."""
         cycles, rest = divmod(depth, len(self.bases))
@@ -176,6 +185,34 @@ class OdometerSpec:
         size = self.block_size(hi + 1)
         n %= size
         return ((mask << n) | (mask >> (size - n))) & ((1 << size) - 1), lo, hi
+
+    def cocycle_rows(self, level, s):
+        """Per tower of the level, a lazy sequence over its atoms i of the
+        powers s takes on T^i(base), read from s's residue table.
+
+        The table holds s's power on each residue mod P_K = p_1...p_K, K the
+        depth of its window, and atom i of a tower over a base on depth d is
+        its base residues plus i mod P_d. With K <= d each residue reads one
+        entry, at (v + i) mod P_K; with K > d it reads every entry
+        congruent to v + i mod P_d, so a power that changes inside the atom
+        shows as a second value. No atom mask is built.
+        """
+        _, hi, powers = s.table
+        table_size = len(powers)
+        for b, h in level.towers:
+            step = self.block_size(min(b.hi, hi) + 1)
+            residues = _bits(b.mask)
+            if step == table_size and len(residues) == 1:
+                # one entry per atom: the table turned to start at v, cycled
+                v = residues[0] % step
+                ones = {n: frozenset((n,)) for n in powers}
+                turned = itertools.cycle(powers[v:] + powers[:v])
+                yield map(ones.__getitem__, itertools.islice(turned, h))
+            else:
+                yield (
+                    {powers[r] for v in residues for r in range((v + i) % step, table_size, step)}
+                    for i in range(h)
+                )
 
     # -- per-kind bodies of the module-level functions ---------------------
 
@@ -325,6 +362,11 @@ class SubstitutionSpec:
         """T^n shifts the window by -n and keeps the words."""
         return mask, lo - n, hi - n
 
+    def cocycle_rows(self, level, s):
+        """Per tower of the level, a lazy sequence over its atoms of the
+        powers s takes there, read by intersecting the level's atom masks."""
+        return level.mask_rows(s)
+
     # -- per-kind bodies of the module-level functions ---------------------
 
     def base_point(self, which: str):
@@ -465,7 +507,16 @@ def _repunit(spec: OdometerSpec, b: int, width: int) -> int:
 
 
 def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of a mask, ascending."""
+    """Positions of the set bits of a mask, ascending. A sparse mask, such
+    as a one-word set on a wide odometer window, is stepped bit by bit
+    rather than spelled out in binary."""
+    if mask.bit_count() << 6 < mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
@@ -499,11 +550,18 @@ class OdometerPoint:
     def window(self, lo: int, hi: int) -> str:
         if lo < 0:
             raise PreconditionError("odometer coordinates start at 0")
-        v, size = self.shift, 1
+        return self.spec.value_word(self.bit(0, hi), hi + 1)[lo:]
+
+    def bit(self, lo: int, hi: int) -> int:
+        """Bit of the point's word on the depth window [lo, hi] = [0, hi]:
+        its value (stream value + shift) mod p_1 * ... * p_{hi+1}."""
+        if lo != 0:
+            raise PreconditionError("odometer windows start at 0")
+        v, scale = self.shift, 1
         for i in range(hi + 1):
-            v += self.digit(i) * size
-            size *= self.spec.base_at(i)
-        return self.spec.value_word(v % size, hi + 1)[lo:]
+            v += self.digit(i) * scale
+            scale *= self.spec.base_at(i)
+        return v % scale
 
     def shifted(self, n: int) -> "OdometerPoint":
         """T^n of this point."""
@@ -558,6 +616,10 @@ class SubstitutionPoint:
         rw = self._expand(self.right, hi + 1)
         return (lw + rw)[len(lw) + lo : len(lw) + hi + 1]
 
+    def bit(self, lo: int, hi: int) -> int:
+        """Bit of the point's word on [lo, hi] in the width's word index."""
+        return self.spec.word_bit(self.window(lo, hi), hi - lo + 1)
+
     def shifted(self, n: int) -> "SubstitutionPoint":
         if n == 0:
             return self
@@ -602,9 +664,3 @@ def base_point(spec: SystemSpec, which: str = "primary") -> tuple[PointRep, bool
         raise PreconditionError(f"unknown base point {which!r}")
     return spec.base_point(which)
 
-
-def point_window(p: PointRep, lo: int, hi: int) -> str:
-    """Coordinates x[lo..hi] of the point, exact."""
-    if lo > hi:
-        raise PreconditionError("window must satisfy lo <= hi")
-    return p.window(lo, hi)

@@ -44,7 +44,9 @@ def first_return(spec: SystemSpec, a: ClopenSet) -> ReturnFunction:
     return ReturnFunction(cells)
 
 
-def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, int], int]]:
+def _return_cells(
+    spec: SystemSpec, a: ClopenSet, level: int = 0
+) -> list[tuple[int, tuple[int, int], int]]:
     """(return time k, window, one-word mask) per cell of A on which the
     first return reads one word.
 
@@ -57,6 +59,8 @@ def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, 
     L doubles, from the power of two >= 2 * width(A), a scanned index width;
     a cut is the same at any L that holds it. Primitive substitutions are
     linearly recurrent, so L stays within a constant times A's width.
+    A return time past `_RETURN_CEILING` raises, naming the tower level
+    whose base A is when one is given.
     """
     if a.is_empty():
         raise PreconditionError("first return needs a nonempty set")
@@ -83,8 +87,10 @@ def _return_cells(spec: SystemSpec, a: ClopenSet) -> list[tuple[int, tuple[int, 
         ]
     longest = max(k for k, _, _ in cells)
     if longest > _RETURN_CEILING:
+        whose = f" at the base of tower level {level}, on [{a.lo}, {a.hi}]" if level else ""
         raise VerificationError(
-            f"return time {longest} exceeds _RETURN_CEILING = 2^{_RETURN_CEILING.bit_length() - 1}"
+            f"return time {longest} exceeds _RETURN_CEILING = "
+            f"2^{_RETURN_CEILING.bit_length() - 1}{whose}"
         )
     return cells
 
@@ -125,7 +131,9 @@ class KRPartition:
     @cached_property
     def _atom_masks(self) -> tuple[int, list]:
         """(size, per-tower atom masks) on the level's ladder window: atom i
-        of a tower is T^i of its base mask, expanded there once."""
+        of a tower is T^i of its base mask, expanded there once. Only
+        subshift levels build them: an odometer level's P atoms would
+        take P bits each."""
         spec = self.spec
         rows = [[spec.translate_mask(b.mask, b.lo, b.hi, i) for i in range(h)]
                 for b, h in self.towers]
@@ -136,9 +144,16 @@ class KRPartition:
         """Cocycle values of s on the atoms, one tower at a time.
 
         Yields, per tower, a lazy sequence over its levels i of the set of
-        powers s takes on T^i(base). Each piece mask is expanded once to a
-        common window; an element whose pieces are finer than the level's
-        own window gets its atom masks expanded there, uncached.
+        powers s takes on T^i(base). The spec reads them: an odometer from
+        s's residue table, a subshift from the atom masks (`mask_rows`).
+        """
+        return self.spec.cocycle_rows(self, s)
+
+    def mask_rows(self, s: GroupElement):
+        """`cocycle_rows` read from the atom masks. Each piece mask is
+        expanded once to a common window; an element whose pieces are finer
+        than the level's own window gets its atom masks expanded there,
+        uncached.
         """
         spec = self.spec
         own, rows = self._atom_masks
@@ -207,7 +222,8 @@ def central_level(spec: SystemSpec, base: ClopenSet, band: int = 0) -> KRPartiti
     height, then by least word."""
     if base.word_count() != 1:
         raise VerificationError(f"level base has {base.word_count()} words, not one")
-    towers = [(ClopenSet._canonical(spec, bit, win), k) for k, win, bit in _return_cells(spec, base)]
+    cells = _return_cells(spec, base, band)
+    towers = [(ClopenSet._canonical(spec, bit, win), k) for k, win, bit in cells]
     towers.sort(key=lambda tower: (tower[1], tower[0].lex_least_word()))
     return KRPartition(spec, tuple(towers), band)
 

@@ -1,7 +1,9 @@
 """Reference computations the tests compare the package against.
 
-They read an element's cocycle one piece at a time, the slow way the
-level tables replace, peel first returns by clopen algebra and build a
+They read an element's cocycle the slow ways its tables replace: one
+piece at a time, on a set or at a point by the pieces' decoded words,
+and on a level's atoms from atom masks, which odometer levels now read
+by residue. They peel first returns by clopen algebra and build a
 tower level from them, move an odometer digit stream by digit
 addition with carry, and integrate an odometer cocycle against the
 invariant measure. They also take the forward image of a clopen set,
@@ -61,6 +63,39 @@ def index_by_measure(s: GroupElement) -> Fraction:
 def cocycle_values_on(s: GroupElement, a: ClopenSet) -> set[int]:
     """Set of cocycle values f_S takes on the clopen set A."""
     return {n for n, c in s.pieces if not c.disjoint(a)}
+
+
+def cocycle_by_scan(s: GroupElement, p) -> int:
+    """f_S at the point, found by scanning the pieces for the one whose
+    decoded words hold the point's word; an odometer point's word is read
+    off its stream moved by digit addition with carry."""
+    for n, c in s.pieces:
+        if p.kind == "odometer":
+            pre, period = odometer_shifted(p.spec, p.pre, p.period, p.shift)
+            word = "".join(str(stream_digit(pre, period, i)) for i in range(c.lo, c.hi + 1))
+        else:
+            word = p.window(c.lo, c.hi)
+        if word in c.sorted_words():
+            return n
+    raise AssertionError("point escaped the piece partition")
+
+
+def mask_rows(xi, s: GroupElement) -> list[list[set[int]]]:
+    """Per tower, per atom T^i(B), the powers of s there, read from atom
+    masks: each atom is T^i of its base mask, expanded with the pieces to
+    one window and intersected with each. An odometer level of height P
+    costs P^2 bits this way, which the residue read avoids."""
+    spec = xi.spec
+    atoms = [[spec.translate_mask(b.mask, b.lo, b.hi, i) for i in range(h)] for b, h in xi.towers]
+    size = max(
+        *(spec.ladder_size(lo, hi) for row in atoms for _, lo, hi in row),
+        *(spec.ladder_size(c.lo, c.hi) for _, c in s.pieces),
+    )
+    pieces = [(n, _expand_words(spec, c.mask, (c.lo, c.hi), size)) for n, c in s.pieces]
+    return [
+        [{n for n, m in pieces if m & _expand_words(spec, a, (lo, hi), size)} for a, lo, hi in row]
+        for row in atoms
+    ]
 
 
 def peeled_first_return(a: ClopenSet) -> dict:

@@ -1,10 +1,14 @@
-"""The one-pass cocycle read of a tower level and the per-power piece merge,
-against the one-set and pairwise-union references they replace.
+"""The one-pass cocycle read of a tower level, the table read at a point
+and the per-power piece merge, against the one-set, mask, piece-scan and
+pairwise-union references they replace.
 
 Elements are seeded random products or drawn words over the generator
-pool; levels 1-5 of the anchored tower sequence on odometer [2],
-odometer [2,3] and Fibonacci. A refused level names the first rule it
-breaks, and the reference names the same one.
+pool; levels 1-5 of the anchored tower sequence on odometers [2], [2,3]
+and [3,2,2] and Fibonacci, and odometer levels up to 9 against the
+mask read. A refused level names the first rule it breaks, and the
+reference names the same one. Odometer levels read by residue, so the
+levels that once ran out of memory building P^2 bits of atom masks
+factorize, and hold no atom masks.
 """
 
 import random
@@ -12,27 +16,35 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullgroups.canon import _level_data
+from fullgroups.canon import _level_data, factorize, index
 from fullgroups.clopen import cylinder
-from fullgroups.group import _build, cocycle_bound, compose, identity, shift, swaps
+from fullgroups.group import _build, cocycle_at, cocycle_bound, compose, identity, shift, swaps
 from fullgroups.sampling import generator_pool, random_clopen, random_products
-from fullgroups.systems import make_system
+from fullgroups.systems import base_point, make_system
 from fullgroups.towers import induced, tower_sequence
-from oracles import cocycle_values_on
+from oracles import cocycle_by_scan, cocycle_values_on, mask_rows
 
 SYSTEMS = {
     "odometer-2": make_system({"kind": "odometer", "bases": [2]}),
     "odometer-2-3": make_system({"kind": "odometer", "bases": [2, 3]}),
+    "odometer-3-2-2": make_system({"kind": "odometer", "bases": [3, 2, 2]}),
     "fibonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}}),
+}
+MATRIX = {
+    "odometer-2": SYSTEMS["odometer-2"],
+    "odometer-2-3": SYSTEMS["odometer-2-3"],
+    "fibonacci": SYSTEMS["fibonacci"],
+    "thue-morse": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}}),
+    "tribonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}}),
 }
 
 
 @st.composite
-def elements(draw):
+def elements(draw, systems=SYSTEMS):
     """(spec, element): a seeded random product, or a drawn pool word,
     optionally after the induced map of a random set finer than the
     shallow levels' windows."""
-    spec = SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)), label="system")]
+    spec = systems[draw(st.sampled_from(sorted(systems)), label="system")]
     seed = draw(st.integers(0, 10**6), label="seed")
     kind = draw(st.sampled_from(["product", "word", "fine word"]), label="kind")
     if kind == "product":
@@ -96,6 +108,22 @@ def test_cocycle_rows_match_the_one_set_read(case, level):
     spec, s = case
     xi = tower_sequence(spec).level(level)
     assert [list(row) for row in xi.cocycle_rows(s)] == _rows_by_atom(s, xi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements({k: v for k, v in SYSTEMS.items() if k.startswith("odometer")}), st.integers(1, 9))
+def test_odometer_residue_read_matches_the_mask_read(case, level):
+    spec, s = case
+    xi = tower_sequence(spec).level(level)
+    assert [list(row) for row in xi.cocycle_rows(s)] == mask_rows(xi, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(MATRIX), st.sampled_from(["primary", "alternate"]), st.integers(-40, 40))
+def test_table_read_matches_the_piece_scan(case, which, n):
+    spec, s = case
+    p = base_point(spec, which)[0].shifted(n)
+    assert cocycle_at(s, p) == cocycle_by_scan(s, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,3 +193,19 @@ def test_build_matches_the_pairwise_union_fold(case1, case2, level, seed):
         raw.append((rng.randint(-2, 2), a))
     raw += [(rng.randint(-2, 2), random_clopen(spec, rng)) for _ in range(4)]
     assert _build(spec, raw).pieces == _fold(raw)
+
+
+def test_odometer_levels_past_the_old_memory_wall_factorize():
+    # level 7 of [6] has one tower of height 6^7: its atom masks once took 2.9 GB
+    spec = make_system({"kind": "odometer", "bases": [6]})
+    t7 = shift(spec, 7)
+    assert factorize(t7).level == 7
+    assert index(t7) == 7
+
+
+def test_only_subshift_levels_build_atom_masks():
+    for name, built in (("odometer-2-3", False), ("fibonacci", True)):
+        spec = SYSTEMS[name]
+        (s,) = random_products(spec, 1, 5, max_len=4)
+        xi = factorize(s).xi
+        assert ("_atom_masks" in xi.__dict__) == built, name

@@ -12,7 +12,6 @@ from fullgroups.systems import (
     base_point,
     language,
     make_system,
-    point_window,
 )
 from fullgroups.towers import TowerSequence
 from oracles import odometer_shifted, stream_digit
@@ -96,43 +95,43 @@ def test_thue_morse_language_counts():
 def test_base_points_odometer():
     spec = odometer2()
     primary, cert = base_point(spec, "primary")
-    assert cert and point_window(primary, 0, 4) == "00000"
+    assert cert and primary.window(0, 4) == "00000"
     alt, cert = base_point(spec, "alternate")
     assert cert
-    assert point_window(alt, 0, 3) == "1010"
+    assert alt.window(0, 3) == "1010"
 
 
 def test_base_point_fibonacci_fixed_word():
     spec = fibonacci()
     primary, cert = base_point(spec, "primary")
     assert cert
-    assert point_window(primary, 0, 4) == "abaab"
+    assert primary.window(0, 4) == "abaab"
     # left tail is a suffix of iterated images of the left seed
-    assert point_window(primary, -3, -1) == "aba"
+    assert primary.window(-3, -1) == "aba"
     alt, cert = base_point(spec, "alternate")
     assert not cert
-    assert point_window(alt, -1, 0) == "ba"
+    assert alt.window(-1, 0) == "ba"
 
 
 def test_point_windows_are_admissible():
     for spec in (fibonacci(), thue_morse()):
         p, _ = base_point(spec, "primary")
         for lo in (-7, -3, 0, 2):
-            w = point_window(p, lo, lo + 5)
+            w = p.window(lo, lo + 5)
             assert w in language(spec, 6)
 
 
 def test_odometer_shift_carries():
     spec = odometer2()
     p, _ = base_point(spec, "primary")
-    assert point_window(p.shifted(1), 0, 2) == "100"
-    assert point_window(p.shifted(3), 0, 2) == "110"
-    assert point_window(p.shifted(4), 0, 3) == "0010"
+    assert p.shifted(1).window(0, 2) == "100"
+    assert p.shifted(3).window(0, 2) == "110"
+    assert p.shifted(4).window(0, 3) == "0010"
     # T^-1(0^inf) = 1^inf
     back = p.shifted(-1)
-    assert point_window(back, 0, 5) == "111111"
+    assert back.window(0, 5) == "111111"
     # and T(1^inf) = 0^inf again
-    assert point_window(back.shifted(1), 0, 5) == "000000"
+    assert back.shifted(1).window(0, 5) == "000000"
 
 
 def test_odometer_shift_roundtrip():
@@ -140,7 +139,7 @@ def test_odometer_shift_roundtrip():
     p = spec.point((1, 2), (0, 1))
     for n in (1, -1, 5, -5, 17, -23):
         q = p.shifted(n).shifted(-n)
-        assert point_window(q, 0, 9) == point_window(p, 0, 9)
+        assert q.window(0, 9) == p.window(0, 9)
 
 
 def test_orbit_certificate():
@@ -211,7 +210,7 @@ def test_word_index_is_the_sorted_language_as_strings(name):
     """The index holds the sorted language as strings, and every word of
     width <= 11 occurs in a central window of the fixed point."""
     spec = SUBSHIFTS[name]
-    text = point_window(base_point(spec)[0], -400, 400)
+    text = base_point(spec)[0].window(-400, 400)
     for n in range(1, 12):
         words, position = spec.word_index(n)
         assert list(words) == sorted(language(spec, n))

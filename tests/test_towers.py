@@ -41,6 +41,17 @@ def test_return_ceiling_names_its_knob(monkeypatch):
     assert sorted(first_return(ODO2, cylinder(ODO2, "00")).cells) == [4]
 
 
+def test_return_ceiling_names_the_level_whose_base_needed_it(monkeypatch):
+    # level 2 of [2] has height 8 and level 3 height 16, past a ceiling of 8
+    monkeypatch.setattr(towers, "_RETURN_CEILING", 8)
+    seq = towers.TowerSequence(ODO2, base_point(ODO2)[0])
+    assert seq.level(2).heights() == [8]
+    with pytest.raises(VerificationError, match=(
+        r"^return time 16 exceeds _RETURN_CEILING = 2\^3 at the base of tower level 3, on \[0, 3\]$"
+    )):
+        seq.level(3)
+
+
 def test_first_return_odometer_constant():
     rf = first_return(ODO2, cylinder(ODO2, "0"))
     assert sorted(rf.cells) == [2]
