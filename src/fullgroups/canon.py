@@ -135,11 +135,10 @@ def _atom_values(q_elem: GroupElement, xi: KRPartition):
     first atom T^i(B_v) where it is not constant."""
     f_atoms = []
     for v, row in enumerate(xi.cocycle_rows(q_elem)):
-        f_atoms.append([])
-        for i, vals in enumerate(row):
-            if len(vals) != 1:
-                return Refusal(f"cocycle is not constant on atom ({v}, {i})", xi.atom(v, i))
-            f_atoms[v].extend(vals)  # the one power on this atom
+        if None in row:
+            i = row.index(None)
+            return Refusal(f"cocycle is not constant on atom ({v}, {i})", xi.atom(v, i))
+        f_atoms.append(row)
     return f_atoms
 
 

@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     ws = Workspace(args.workspace)
     try:
         return args.fn(ws, args)
-    except (ParseError, SystemConfigError) as exc:
+    except (ParseError, SystemConfigError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except VerificationError as exc:

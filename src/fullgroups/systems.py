@@ -36,10 +36,10 @@ A point of either kind is a fixed stream plus an orbit offset `shift`:
 set holds the point iff that bit of its mask is set: on an odometer the
 bit is (stream value + shift) mod p_1...p_{hi+1}, read with no word built.
 
-Both specs read an element's cocycle on the atoms of a tower level
-(`cocycle_rows`). An odometer reads the element's residue table: atom i of
-the tower over base residue v is the residue v + i. A subshift reads the
-level's atom masks.
+Both specs read an element's cocycle on the atoms of a tower level from
+its table (`cocycle_rows`): one power per atom, None where it takes more.
+An odometer atom i over base residue v is the residue v + i; a subshift
+atom i is the base's words moved to [lo - i, hi - i], each read at a slice.
 """
 
 from __future__ import annotations
@@ -187,15 +187,17 @@ class OdometerSpec:
         return ((mask << n) | (mask >> (size - n))) & ((1 << size) - 1), lo, hi
 
     def cocycle_rows(self, level, s):
-        """Per tower of the level, a lazy sequence over its atoms i of the
-        powers s takes on T^i(base), read from s's residue table.
+        """Per tower of the level, one list over its atoms i of the power s
+        takes on T^i(base), None where it takes more than one, read from
+        s's residue table.
 
         The table holds s's power on each residue mod P_K = p_1...p_K, K the
         depth of its window, and atom i of a tower over a base on depth d is
         its base residues plus i mod P_d. With K <= d each residue reads one
-        entry, at (v + i) mod P_K; with K > d it reads every entry
+        entry, at (v + i) mod P_K: one base residue v reads the table turned
+        to start at v, repeated to height h. With K > d it reads every entry
         congruent to v + i mod P_d, so a power that changes inside the atom
-        shows as a second value. No atom mask is built.
+        shows as a second value.
         """
         _, hi, powers = s.table
         table_size = len(powers)
@@ -203,16 +205,13 @@ class OdometerSpec:
             step = self.block_size(min(b.hi, hi) + 1)
             residues = _bits(b.mask)
             if step == table_size and len(residues) == 1:
-                # one entry per atom: the table turned to start at v, cycled
                 v = residues[0] % step
-                ones = {n: frozenset((n,)) for n in powers}
-                turned = itertools.cycle(powers[v:] + powers[:v])
-                yield map(ones.__getitem__, itertools.islice(turned, h))
+                yield ((powers[v:] + powers[:v]) * -(-h // step))[:h]
             else:
-                yield (
-                    {powers[r] for v in residues for r in range((v + i) % step, table_size, step)}
+                yield [
+                    _one({powers[r] for v in residues for r in range((v + i) % step, table_size, step)})
                     for i in range(h)
-                )
+                ]
 
     # -- per-kind bodies of the module-level functions ---------------------
 
@@ -363,9 +362,26 @@ class SubstitutionSpec:
         return mask, lo - n, hi - n
 
     def cocycle_rows(self, level, s):
-        """Per tower of the level, a lazy sequence over its atoms of the
-        powers s takes there, read by intersecting the level's atom masks."""
-        return level.mask_rows(s)
+        """Per tower of the level, one list over its atoms i of the power s
+        takes on T^i(base), None where it takes more than one, read from
+        s's table.
+
+        Atom i holds the points that read a base word on [b.lo - i, b.hi - i].
+        The base words are expanded once, through `_fiber_table`, to the
+        least window [lo, hi] around the base's such that [lo - i, hi - i]
+        holds the table's window for every i < h, and atom i reads each
+        expanded word's entry at its slice there.
+        """
+        tlo, thi, powers = s.table
+        entry = self.word_index(thi - tlo + 1)[1]
+        for b, h in level.towers:
+            lo, hi = min(b.lo, tlo), max(b.hi, thi + h - 1)
+            mask = b.mask
+            if (lo, hi) != (b.lo, b.hi):
+                mask = self.expand_mask(mask, hi - lo + 1, b.lo - lo, b.hi - lo + 1)
+            words = self.decode(mask, hi - lo + 1)
+            a, z = tlo - lo, thi - lo + 1
+            yield [_one({powers[entry[w[a + i : z + i]]] for w in words}) for i in range(h)]
 
     # -- per-kind bodies of the module-level functions ---------------------
 
@@ -504,6 +520,11 @@ def _fiber_table(spec: SubstitutionSpec, width: int, a: int, b: int) -> tuple[li
 def _repunit(spec: OdometerSpec, b: int, width: int) -> int:
     """Mask on the width window with one bit per multiple of p_1 * ... * p_b."""
     return ((1 << spec.mask_width(width)) - 1) // ((1 << spec.block_size(b)) - 1)
+
+
+def _one(powers: set) -> int | None:
+    """The one power of the set, or None when it holds more."""
+    return powers.pop() if len(powers) == 1 else None
 
 
 def _bits(mask: int) -> list[int]:

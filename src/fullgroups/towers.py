@@ -9,7 +9,9 @@ of the system's word index. `first_return` groups those cells by return
 time (`kr_from_set`, `induced`); `central_level` keeps one tower per cell.
 The tower sequence anchored at a point x0 uses shrinking central cylinders
 around x0 as bases and skips candidate levels whose heights or diameters
-miss the band half-width m_n = n. No level is refined.
+miss the band half-width m_n = n. No level is refined. A level reads an
+element's cocycle on its atoms from the element's table, through the spec
+(`KRPartition.cocycle_rows`), and holds no atom masks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .clopen import ClopenSet, _expand_words, central_cylinder, check_partition, union_all
+from .clopen import ClopenSet, central_cylinder, check_partition, union_all
 from .errors import PreconditionError, VerificationError
 from .group import GroupElement, _build
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
@@ -128,42 +130,12 @@ class KRPartition:
             self._atoms[v, i] = b.translate(i)
         return self._atoms[v, i]
 
-    @cached_property
-    def _atom_masks(self) -> tuple[int, list]:
-        """(size, per-tower atom masks) on the level's ladder window: atom i
-        of a tower is T^i of its base mask, expanded there once. Only
-        subshift levels build them: an odometer level's P atoms would
-        take P bits each."""
-        spec = self.spec
-        rows = [[spec.translate_mask(b.mask, b.lo, b.hi, i) for i in range(h)]
-                for b, h in self.towers]
-        size = max(spec.ladder_size(lo, hi) for row in rows for _, lo, hi in row)
-        return size, [[_expand_words(spec, m, (lo, hi), size) for m, lo, hi in row] for row in rows]
-
     def cocycle_rows(self, s: GroupElement):
-        """Cocycle values of s on the atoms, one tower at a time.
-
-        Yields, per tower, a lazy sequence over its levels i of the set of
-        powers s takes on T^i(base). The spec reads them: an odometer from
-        s's residue table, a subshift from the atom masks (`mask_rows`).
+        """Cocycle values of s on the atoms, one tower at a time: per tower,
+        a list over its levels i of the power s takes on T^i(base), None
+        where it takes more than one, read by the spec from s's table.
         """
         return self.spec.cocycle_rows(self, s)
-
-    def mask_rows(self, s: GroupElement):
-        """`cocycle_rows` read from the atom masks. Each piece mask is
-        expanded once to a common window; an element whose pieces are finer
-        than the level's own window gets its atom masks expanded there,
-        uncached.
-        """
-        spec = self.spec
-        own, rows = self._atom_masks
-        size = max(own, max(spec.ladder_size(c.lo, c.hi) for _, c in s.pieces))
-        pieces = [(n, _expand_words(spec, c.mask, (c.lo, c.hi), size)) for n, c in s.pieces]
-        win = spec.ladder_window(own)
-        for row in rows:
-            if size != own:
-                row = (_expand_words(spec, a, win, size) for a in row)
-            yield ({n for n, m in pieces if m & a} for a in row)
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -264,7 +236,7 @@ class TowerSequence:
         self.spec = spec
         self.anchor = anchor
         self._levels: list[KRPartition] = []
-        self._sizes: list[int] = []
+        self._size = 0  # base size of the last level built
 
     def level(self, n: int) -> KRPartition:
         if n < 1:
@@ -279,7 +251,7 @@ class TowerSequence:
     def _build_next(self) -> None:
         n = len(self._levels) + 1
         rad = _diameter_radius(n)
-        size = self._sizes[-1] + 1 if self._sizes else 1
+        size = self._size + 1
         if self.spec.kind != "odometer":
             # keep the base window ahead of the bands so deeper levels
             # determine every cocycle within them
@@ -293,7 +265,7 @@ class TowerSequence:
                 break
             size += 1
         self._levels.append(xi)
-        self._sizes.append(size)
+        self._size = size
 
 
 @cache

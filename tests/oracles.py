@@ -2,8 +2,8 @@
 
 They read an element's cocycle the slow ways its tables replace: one
 piece at a time, on a set or at a point by the pieces' decoded words,
-and on a level's atoms from atom masks, which odometer levels now read
-by residue. They peel first returns by clopen algebra and build a
+and on a level's atoms from atom masks, where every level now reads the
+element's table. They peel first returns by clopen algebra and build a
 tower level from them, move an odometer digit stream by digit
 addition with carry, and integrate an odometer cocycle against the
 invariant measure. They also take the forward image of a clopen set,

@@ -286,6 +286,21 @@ def test_parse_errors_exit_4(ws):
     assert run("lef", "verify", "bad") == 4
 
 
+@pytest.mark.parametrize("path, command", [
+    ("bad.elem", ("index", "bad")),
+    ("bad.system", ("system", "show", "bad")),
+    ("bad.lef", ("lef", "verify", "bad")),
+    ("bad.cfg", ("system", "define", "bad", "{tmp}/bad.cfg")),
+    ("names.txt", ("lef", "--set", "{tmp}/names.txt")),
+], ids=["element", "system", "witness", "config", "lef-set"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(ws, capsys, path, command):
+    tmp, run = ws
+    (tmp / path).write_bytes(b"system odo2\n\xff\xfe -> 1\n")
+    capsys.readouterr()
+    assert run(*(arg.format(tmp=tmp) for arg in command)) == 4
+    assert capsys.readouterr().err.startswith("parse error: 'utf-8' codec can't decode")
+
+
 def test_an_unrelated_malformed_system_file_is_not_read(ws, capsys):
     tmp, run = ws
     (tmp / "bad.system").write_text("kind = rotation\n")

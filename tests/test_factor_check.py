@@ -181,7 +181,7 @@ def test_a_wrapped_atom_keeps_the_permutation_mod_h(name):
     bad = wrapped_atom(fac, lambda seq: list(seq)[0])
     (h,) = fac.xi.heights()
     (row,) = fac.xi.cocycle_rows(bad.element)
-    wrapped = [(i + f) % h for i, (f,) in enumerate(row)]
+    wrapped = [(i + f) % h for i, f in enumerate(row)]
     assert tuple(wrapped) == fac.permutation.perms[0]
     assert not equals(bad.element, fac.element)
 

@@ -4,11 +4,15 @@ pairwise-union references they replace.
 
 Elements are seeded random products or drawn words over the generator
 pool; levels 1-5 of the anchored tower sequence on odometers [2], [2,3]
-and [3,2,2] and Fibonacci, and odometer levels up to 9 against the
-mask read. A refused level names the first rule it breaks, and the
-reference names the same one. Odometer levels read by residue, so the
-levels that once ran out of memory building P^2 bits of atom masks
-factorize, and hold no atom masks.
+and [3,2,2], Fibonacci, Thue-Morse and tribonacci, and odometer levels up
+to 9 against the mask read. A level row holds one power per atom, or None
+where the references see two or more. A refused level names the first
+rule it breaks, and the reference names the same one. Both kinds read a
+level from the element's table: odometers by residue, so the levels that
+once ran out of memory building P^2 bits of atom masks factorize, and
+subshifts by the words of each tower, expanded through the fiber tables
+where the base window does not hold every atom's table window, and read
+at one slice per atom. No level holds atom masks.
 """
 
 import random
@@ -16,12 +20,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fullgroups import systems
 from fullgroups.canon import _level_data, factorize, index
-from fullgroups.clopen import cylinder
+from fullgroups.clopen import central_cylinder, cylinder
 from fullgroups.group import _build, cocycle_at, cocycle_bound, compose, identity, shift, swaps
 from fullgroups.sampling import generator_pool, random_clopen, random_products
 from fullgroups.systems import base_point, make_system
-from fullgroups.towers import induced, tower_sequence
+from fullgroups.towers import central_level, induced, tower_sequence
 from oracles import cocycle_by_scan, cocycle_values_on, mask_rows
 
 SYSTEMS = {
@@ -29,14 +34,12 @@ SYSTEMS = {
     "odometer-2-3": make_system({"kind": "odometer", "bases": [2, 3]}),
     "odometer-3-2-2": make_system({"kind": "odometer", "bases": [3, 2, 2]}),
     "fibonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}}),
-}
-MATRIX = {
-    "odometer-2": SYSTEMS["odometer-2"],
-    "odometer-2-3": SYSTEMS["odometer-2-3"],
-    "fibonacci": SYSTEMS["fibonacci"],
     "thue-morse": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}}),
     "tribonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}}),
 }
+MATRIX = {k: v for k, v in SYSTEMS.items() if k != "odometer-3-2-2"}
+ODOMETERS = {k: v for k, v in SYSTEMS.items() if k.startswith("odometer")}
+SUBSHIFTS = {k: v for k, v in SYSTEMS.items() if not k.startswith("odometer")}
 
 
 @st.composite
@@ -64,6 +67,11 @@ def _rows_by_atom(s, xi):
         [cocycle_values_on(s, xi.atom(v, i)) for i in range(h)]
         for v, (b, h) in enumerate(xi.towers)
     ]
+
+
+def _one_or_none(rows):
+    """Reference rows of power sets as level rows: the one power, or None."""
+    return [[min(vals) if len(vals) == 1 else None for vals in row] for row in rows]
 
 
 def _reference_level_data(q_elem, xi, q):
@@ -107,15 +115,79 @@ def _fold(raw):
 def test_cocycle_rows_match_the_one_set_read(case, level):
     spec, s = case
     xi = tower_sequence(spec).level(level)
-    assert [list(row) for row in xi.cocycle_rows(s)] == _rows_by_atom(s, xi)
+    assert list(xi.cocycle_rows(s)) == _one_or_none(_rows_by_atom(s, xi))
 
 
 @settings(max_examples=60, deadline=None)
-@given(elements({k: v for k, v in SYSTEMS.items() if k.startswith("odometer")}), st.integers(1, 9))
+@given(elements(ODOMETERS), st.integers(1, 9))
 def test_odometer_residue_read_matches_the_mask_read(case, level):
     spec, s = case
     xi = tower_sequence(spec).level(level)
-    assert [list(row) for row in xi.cocycle_rows(s)] == mask_rows(xi, s)
+    assert list(xi.cocycle_rows(s)) == _one_or_none(mask_rows(xi, s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(SUBSHIFTS), st.integers(1, 5))
+def test_subshift_word_read_matches_the_mask_read(case, level):
+    spec, s = case
+    xi = tower_sequence(spec).level(level)
+    assert list(xi.cocycle_rows(s)) == _one_or_none(mask_rows(xi, s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), st.integers(1, 5))
+def test_a_level_off_the_anchor_matches_the_mask_read(case, size):
+    # sequence levels sit over the anchor, an odometer residue 0; around the
+    # alternate point a base residue v != 0 turns the odometer table
+    spec, s = case
+    point = base_point(spec, "alternate")[0]
+    xi = central_level(spec, central_cylinder(spec, point, size))
+    assert list(xi.cocycle_rows(s)) == _one_or_none(mask_rows(xi, s))
+
+
+def _counting_fiber_reads(monkeypatch):
+    """Count `systems._fiber_table` calls from here on."""
+    calls = []
+    table = systems._fiber_table
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(systems, "_fiber_table", counted)
+    return calls
+
+
+def test_a_base_window_holding_every_atoms_table_window_is_read_as_it_is(monkeypatch):
+    # Fibonacci level 1: tower 0 has height 8 over a base on [-11, 11], and
+    # T's table window [0, 0] lies in [-11 - i, 11 - i] for every i < 8
+    spec = SYSTEMS["fibonacci"]
+    xi = tower_sequence(spec).level(1)
+    s = shift(spec, 1)
+    want = _one_or_none(mask_rows(xi, s))[0]
+    (b, h), (lo, hi) = xi.towers[0], s.table[:2]
+    assert b.lo <= lo and hi <= b.hi - (h - 1)
+    calls = _counting_fiber_reads(monkeypatch)
+    assert next(xi.cocycle_rows(s)) == want == [1] * 8
+    assert calls == []
+
+
+def test_an_element_finer_than_the_base_is_read_through_the_fibers(monkeypatch):
+    # the induced map of a cylinder on [-12, 12] has a table window wider
+    # than Fibonacci level 1's base window [-11, 11] on both sides: each
+    # tower's words are expanded once to the hull, and the atom holding
+    # the cylinder has two powers
+    spec = SYSTEMS["fibonacci"]
+    xi = tower_sequence(spec).level(1)
+    point = base_point(spec, "primary")[0]
+    s = induced(spec, cylinder(spec, point.window(-12, 12), -12))
+    want = _one_or_none(mask_rows(xi, s))
+    lo, hi, _ = s.table
+    assert all(lo < b.lo and b.hi < hi for b, _ in xi.towers)
+    assert any(None in row for row in want) and any(n is not None for n in want[0])
+    calls = _counting_fiber_reads(monkeypatch)
+    assert list(xi.cocycle_rows(s)) == want
+    assert len(calls) == len(xi.towers)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,9 +275,11 @@ def test_odometer_levels_past_the_old_memory_wall_factorize():
     assert index(t7) == 7
 
 
-def test_only_subshift_levels_build_atom_masks():
-    for name, built in (("odometer-2-3", False), ("fibonacci", True)):
+def test_no_level_holds_atom_masks():
+    # a level holds its towers, the atoms built on demand and its successors
+    for name in ("odometer-2-3", "fibonacci"):
         spec = SYSTEMS[name]
         (s,) = random_products(spec, 1, 5, max_len=4)
         xi = factorize(s).xi
-        assert ("_atom_masks" in xi.__dict__) == built, name
+        assert set(vars(xi)) <= {"spec", "towers", "band", "_atoms", "successors"}, name
+        assert not hasattr(xi, "_atom_masks") and not hasattr(xi, "mask_rows"), name

@@ -209,7 +209,8 @@ def test_odometer_levels_need_no_refinement(spec):
         for w in sorted(language(spec, hi - lo + 1)):
             refined = refine_against(refined, cylinder(spec, w, lo))
         assert refined.towers == xi.towers
-        base = central_cylinder(spec, seq.anchor, seq._sizes[n - 1])
+        (b, _), = xi.towers
+        base = central_cylinder(spec, seq.anchor, spec.ladder_size(b.lo, b.hi))
         assert kr_from_set(spec, base).towers == xi.towers
 
 
