@@ -10,11 +10,13 @@ stabilizer members, and every nonempty clopen set supports an order-3
 commutator witness moving a designated point.
 
 `factorize` checks Q = P∘R on the level's tables, not on elements: one
-equation per cell of X, stated in `_check_factorization`, the only place
-that knows the band maps' closed form. Composing
-`PermutationForm.to_element()` with `RotationForm.to_element()` stays as
-the independent oracle in the tests and in `selftest`: its band maps are
-`towers.induced` first returns, read off words.
+equation per atom off the rotation bands and one per band, over all
+towers at once, stated in `_check_factorization`, the only place that
+knows the band maps' closed form. It needs no tower graph: T maps the
+tops onto the bases, so every tower has a successor and a predecessor.
+Composing `PermutationForm.to_element()` with `RotationForm.to_element()`
+stays as the independent oracle in the tests and in `selftest`: its band
+maps are `towers.induced` first returns, read off words.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class Refusal:
     """Falsy answer of a recognizer or level reader: the rule it found broken."""
 
     reason: str
-    atom: ClopenSet | None = None
 
     def __bool__(self) -> bool:
         return False
@@ -131,25 +132,24 @@ class Factorization:
 
 
 def _atom_values(q_elem: GroupElement, xi: KRPartition):
-    """Q's power on each atom, tower by tower, or a Refusal carrying the
-    first atom T^i(B_v) where it is not constant."""
+    """Q's power on each atom, tower by tower, or a Refusal naming the
+    first atom (v, i) where it is not constant."""
     f_atoms = []
     for v, row in enumerate(xi.cocycle_rows(q_elem)):
         if None in row:
-            i = row.index(None)
-            return Refusal(f"cocycle is not constant on atom ({v}, {i})", xi.atom(v, i))
+            return Refusal(f"cocycle is not constant on atom ({v}, {row.index(None)})")
         f_atoms.append(row)
     return f_atoms
 
 
 def _tower_perms(f_atoms, xi: KRPartition):
     """Per tower, the level map i -> (i + f_atoms[v][i]) mod h_v, or a
-    Refusal carrying the base of the first tower where two levels collide."""
+    Refusal naming the first tower where two levels collide."""
     perms = []
-    for v, (f_row, (b, h)) in enumerate(zip(f_atoms, xi.towers)):
+    for v, (f_row, h) in enumerate(zip(f_atoms, xi.heights())):
         perms.append(tuple((i + f) % h for i, f in enumerate(f_row)))
         if not is_permutation(perms[-1], h):
-            return Refusal(f"levels collide inside tower {v}", b)
+            return Refusal(f"levels collide inside tower {v}")
     return perms
 
 
@@ -158,10 +158,10 @@ def is_n_permutation(s: GroupElement, xi: KRPartition):
     f_atoms = _atom_values(s, xi)
     if not f_atoms:
         return f_atoms
-    for v, ((b, h), f_row) in enumerate(zip(xi.towers, f_atoms)):
+    for v, (h, f_row) in enumerate(zip(xi.heights(), f_atoms)):
         for i, f in enumerate(f_row):
             if not 0 <= i + f < h:
-                return Refusal("an atom leaves its tower", xi.atom(v, i))
+                return Refusal(f"atom ({v}, {i}) leaves its tower")
     perms = _tower_perms(f_atoms, xi)
     return perms and PermutationForm(xi, tuple(perms))
 
@@ -184,7 +184,7 @@ def is_n_rotation(s: GroupElement, xi: KRPartition):
                 continue
             peeled = _peel(rest, induced(xi.spec, band), band, r_max)
             if peeled is None:
-                return Refusal("no band exponent matches", band)
+                return Refusal("no band exponent matches")
             rest, e = peeled
             levels.append((i, e))
     if not is_identity(rest):
@@ -268,17 +268,26 @@ def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> Non
     """Exact check of Q = P∘R and of the form's postconditions, on the level's tables.
 
     f_atoms[v][i] is Q's power on atom T^i(B_v), read from Q when not
-    given; R = id off its bands and is T^{h_w} or T^{-h_v} on them, so
-    on each cell both sides are one power:
+    given. R = id off its bands; on U band a with exponent +1 it moves
+    level h_v-1-a of tower v to level h_w-1-a of the tower w that the
+    orbit enters next, a power h_w, and on D band b with exponent -1 it
+    moves level b of w to level b of the tower v it came from, a power
+    -h_v. The checks, one per atom off the bands and one per band:
 
     - off the active bands, f_atoms[v][i] == perms[v][i] - i;
-    - on U-band a with exponent +1, f_atoms[v][h_v-1-a] ==
-      h_w + perms[w][h_w-1-a] - (h_w-1-a) for (v, w) in M;
-    - on D-band b with exponent -1, f_atoms[w][b] ==
-      perms[v][b] - b - h_v for (v, w) in M;
+    - on U band a, the set {f_atoms[v][h_v-1-a]} ∪
+      {perms[w][h_w-1-a] + a + 1} over all towers v, w holds one value;
+    - on D band b, the set {f_atoms[w][b]} ∪ {perms[v][b] - b - h_v}
+      over all towers v, w holds one value.
 
-    where M = {(v, w) : T^{h_v}(B_v) ∩ B_w nonempty} is
-    `KRPartition.successors`. The cells partition X, so this is exact;
+    This is the per-cell equation, for every pair (v, w) of a tower and
+    the next one, plus one more condition: Q takes one power on each
+    active band. `_level_data` requires that on every band in [-m-1, m],
+    so nothing `factorize` or the LEF search returns is refused for it.
+    Given that condition the two are equal: T maps the tops onto the
+    bases, so every tower has a successor and a predecessor, and each
+    term of the set meets the one power of Q in some pair's equation.
+    So no tower graph is built. The cells partition X, so this is exact;
     powers are compared as integers, since a check mod h_v would accept
     an atom that wraps once round its tower. Any other exponent is
     refused.
@@ -312,16 +321,13 @@ def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> Non
             d = abs(pv[i] - i)
             if min(d, h - d) > fac.n0:
                 raise VerificationError("displacement exceeds n0")
-    for v, succ in enumerate(xi.successors):
-        hv = heights[v]
-        for w in succ:
-            hw = heights[w]
-            for a in up:
-                if f_atoms[v][hv - 1 - a] != hw + perms[w][hw - 1 - a] - (hw - 1 - a):
-                    raise VerificationError(f"P∘R does not reproduce Q on U band {a}")
-            for b in down:
-                if f_atoms[w][b] != perms[v][b] - b - hv:
-                    raise VerificationError(f"P∘R does not reproduce Q on D band {b}")
+    rows = list(zip(f_atoms, perms, heights))
+    for a in up:
+        if len({x for f, p, h in rows for x in (f[h - 1 - a], p[h - 1 - a] + a + 1)}) != 1:
+            raise VerificationError(f"P∘R does not reproduce Q on U band {a}")
+    for b in down:
+        if len({x for f, p, h in rows for x in (f[b], p[b] - b - h)}) != 1:
+            raise VerificationError(f"P∘R does not reproduce Q on D band {b}")
     displacements = [[p - i for i, p in enumerate(pv)] for pv in perms]
     if not _bands_agree(displacements, heights, xi.band):
         raise VerificationError("band permutation disagrees across towers")

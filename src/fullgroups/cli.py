@@ -3,8 +3,8 @@
 Systems, elements, and witnesses live as text files in a workspace
 directory (the FULLGROUPS_WORKSPACE variable or --workspace flag, current
 directory by default). Reports go to standard output; exit codes separate
-precondition violations (2), verification failures (3), and parse errors
-(4), with eq reserving 0/1 for its answer.
+precondition violations and running out of memory (2), verification
+failures (3), and parse errors (4), with eq reserving 0/1 for its answer.
 """
 
 from __future__ import annotations
@@ -440,6 +440,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
         return 2
 
 

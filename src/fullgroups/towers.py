@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 from .clopen import ClopenSet, central_cylinder, check_partition, union_all
 from .errors import PreconditionError, VerificationError
@@ -136,19 +136,6 @@ class KRPartition:
         where it takes more than one, read by the spec from s's table.
         """
         return self.spec.cocycle_rows(self, s)
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per tower v, the towers w with T^{h_v}(B_v) ∩ B_w nonempty.
-
-        T maps the tops onto the bases, so the pieces B_v ∩ T^{-h_v}(B_w)
-        partition B_v over its successors w, and B_w ∩ T^{h_v}(B_v)
-        partition B_w over its predecessors v.
-        """
-        return tuple(
-            tuple(w for w, (bw, _) in enumerate(self.towers) if not b.translate(h).disjoint(bw))
-            for b, h in self.towers
-        )
 
     def iter_atoms(self):
         for v, (b, h) in enumerate(self.towers):

@@ -280,7 +280,7 @@ def rotation_by_search(s: GroupElement, xi):
                     levels.append((i, e))
                     break
             else:
-                return Refusal("no band exponent matches", band)
+                return Refusal("no band exponent matches")
     form = RotationForm(xi, tuple(u_levels), tuple(d_levels))
     if not equals(form.to_element(), s):
         return Refusal("support extends past the boundary bands")

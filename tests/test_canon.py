@@ -177,7 +177,7 @@ def test_permutation_recognizer():
     xi = tower_sequence(ODO2).level(3)
     r = is_n_permutation(t, xi)
     assert isinstance(r, Refusal)
-    assert r.atom is not None
+    assert r.reason == "atom (0, 15) leaves its tower"
     fac = factorize(t, level=3)
     p = fac.permutation.to_element()
     form = is_n_permutation(p, xi)

@@ -176,6 +176,20 @@ def test_decompose_exits_3_when_a_check_fails(ws, monkeypatch, capsys):
     assert "first factor fixes forward orbit of x: FAIL" in out and out.count("ok") == 3
 
 
+def test_running_out_of_memory_is_a_resource_error(ws, monkeypatch, capsys):
+    tmp, run = ws
+
+    def exhaust(q_elem):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "index", exhaust)
+    capsys.readouterr()
+    assert run("index", "T") == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "resource error: out of memory"
+    assert captured.out == ""
+
+
 def test_decompose_rejects_nonzero_index(ws):
     tmp, run = ws
     assert run("decompose", "T") == 2

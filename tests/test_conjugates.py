@@ -16,6 +16,11 @@ differ, so the comparison reads what no level fixes: the index, the
 stabilizer test, the order and the kernel decomposition's checks. The primary
 points are both 0^inf; the alternate point (10)^inf of [p, q] is 1^inf
 of [pq].
+
+The letter swap a <-> b maps the Thue-Morse subshift onto itself and
+commutes with T, so conjugating an element by it keeps its index and its
+order. It acts piece by piece: each piece's words, swapped letter for
+letter, are a piece on the same window.
 """
 
 import pytest
@@ -104,3 +109,30 @@ def test_an_odometer_and_its_paired_bases_agree(pair, product):
         assert equals(compose(p1, p2), compose(q1, q2))
         assert in_stabilizer(p1) and in_stabilizer(p2, y)
         assert order(p2, 2) == order(q2, 2)
+
+
+FLIP = str.maketrans("ab", "ba")
+
+
+def _flipped(s):
+    """s conjugated by the Thue-Morse letter swap a <-> b."""
+    spec = s.spec
+    pieces = []
+    for n, c in s.pieces:
+        words = [w.translate(FLIP) for w in c.sorted_words()]
+        mask = spec.encode(words, c.hi - c.lo + 1)
+        pieces.append((ClopenSet._canonical(spec, mask, (c.lo, c.hi)), n))
+    return make_element(spec, pieces)
+
+
+def test_the_thue_morse_flip_keeps_index_and_order():
+    spec = make_system({"kind": "substitution", "rule": RULES["thue-morse"]})
+    products = random_products(spec, 20, 0, max_len=3)
+    flips = [_flipped(s) for s in products]
+    assert not all(equals(f, s) for s, f in zip(products, flips))
+    for s, f in zip(products, flips):
+        assert equals(_flipped(f), s)
+        assert index(f) == index(s)
+        assert order(f, 12) == order(s, 12)
+    for s, t, f, g in zip(products, products[1:], flips, flips[1:]):
+        assert equals(_flipped(compose(s, t)), compose(f, g))

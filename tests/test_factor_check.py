@@ -236,6 +236,18 @@ def _wrapped_d_band():
     return _wrapped(fac, 0, h)  # the atom of D band 0
 
 
+def _u_band_on_two_heights():
+    # T on Fibonacci factorizes at level 1, towers of heights 8 and 13: U band 1
+    # would move the second-highest atoms by 9 and 14, and Q moves them by 1
+    fac = factorize(shift(FIB, 1))
+    return _with(fac, n0=2, u_levels=fac.rotation.u_levels + ((1, 1),))
+
+
+def _d_band_on_two_heights():
+    fac = factorize(shift(FIB, -1))
+    return _with(fac, n0=2, d_levels=fac.rotation.d_levels + ((1, -1),))
+
+
 def _transposed_in_one_tower():
     # the identity on Fibonacci factorizes at level 1, towers of heights 8 and 13;
     # swapping the two bottom atoms of tower 0 only moves band 0 in one tower
@@ -252,6 +264,8 @@ REFUSALS = {
     "a U band and a D band share an atom": _shared_band_atom,
     "P∘R does not reproduce Q on U band 0": _wrapped_u_band,
     "P∘R does not reproduce Q on D band 0": _wrapped_d_band,
+    "P∘R does not reproduce Q on U band 1": _u_band_on_two_heights,
+    "P∘R does not reproduce Q on D band 1": _d_band_on_two_heights,
     "band permutation disagrees across towers": _transposed_in_one_tower,
 }
 # Q = P∘R holds there, so only the table check sees the broken form

@@ -20,13 +20,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullgroups import systems
+from fullgroups import canon, systems
 from fullgroups.canon import _level_data, factorize, index
-from fullgroups.clopen import central_cylinder, cylinder
+from fullgroups.clopen import ClopenSet, central_cylinder, cylinder
 from fullgroups.group import _build, cocycle_at, cocycle_bound, compose, identity, shift, swaps
 from fullgroups.sampling import generator_pool, random_clopen, random_products
 from fullgroups.systems import base_point, make_system
-from fullgroups.towers import central_level, induced, tower_sequence
+from fullgroups.towers import KRPartition, TowerSequence, central_level, induced, tower_sequence
 from oracles import cocycle_by_scan, cocycle_values_on, mask_rows
 
 SYSTEMS = {
@@ -239,13 +239,6 @@ def test_each_level_refusal_names_its_rule(system, make, reason):
     assert refusal.reason == _reference_level_data(s, xi, cocycle_bound(s))
 
 
-def test_an_atom_refusal_carries_its_atom():
-    xi = tower_sequence(SYSTEMS["odometer-2"]).level(1)
-    refusal = _level_data(_atom_split(xi), xi, 1)
-    assert refusal.atom == xi.atom(0, 0)
-    assert cylinder(xi.spec, "000000").subset(refusal.atom)
-
-
 @settings(max_examples=60, deadline=None)
 @given(elements(), elements(), st.integers(1, 5), st.integers(0, 10**6))
 def test_build_matches_the_pairwise_union_fold(case1, case2, level, seed):
@@ -275,11 +268,35 @@ def test_odometer_levels_past_the_old_memory_wall_factorize():
     assert index(t7) == 7
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "thue-morse"])
+def test_a_warm_factorization_translates_no_set(name, monkeypatch):
+    # on built levels, factorize reads tables only: it translates no tower
+    # base and builds no atom, on the levels it refuses too
+    spec = SYSTEMS[name]
+    x, _ = base_point(spec, "primary")
+    # swaps of deep central cylinders are refused on an atom at some level
+    fine = [compose(swaps(spec, [(central_cylinder(spec, x, d), 1)]), shift(spec, 1))
+            for d in (8, 10)]
+    products = [shift(spec, 2), shift(spec, -1), *fine, *random_products(spec, 6, 3, max_len=3)]
+    want = [factorize(s) for s in products]
+    # a fresh sequence, so its levels hold nothing the calls above cached
+    seq = TowerSequence(spec, x)
+    seq.level(max(fac.level for fac in want))
+
+    def refuse(*args):
+        raise AssertionError("a warm factorization built a set")
+
+    monkeypatch.setattr(canon, "tower_sequence", lambda spec: seq)
+    monkeypatch.setattr(ClopenSet, "translate", refuse)
+    monkeypatch.setattr(KRPartition, "atom", refuse)
+    assert [factorize.__wrapped__(s) for s in products] == want
+
+
 def test_no_level_holds_atom_masks():
-    # a level holds its towers, the atoms built on demand and its successors
+    # a level holds its towers and the atoms built on demand
     for name in ("odometer-2-3", "fibonacci"):
         spec = SYSTEMS[name]
         (s,) = random_products(spec, 1, 5, max_len=4)
         xi = factorize(s).xi
-        assert set(vars(xi)) <= {"spec", "towers", "band", "_atoms", "successors"}, name
+        assert set(vars(xi)) <= {"spec", "towers", "band", "_atoms"}, name
         assert not hasattr(xi, "_atom_masks") and not hasattr(xi, "mask_rows"), name

@@ -119,23 +119,6 @@ def test_band_set_identities():
         xi.u_set(h)
 
 
-@pytest.mark.parametrize("spec", [ODO23, FIB], ids=["odometer-2-3", "fibonacci"])
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_successors_split_each_base_both_ways(spec, level):
-    xi = tower_sequence(spec).level(level)
-    succ = xi.successors
-    assert xi.successors is succ
-    into = [b.translate(h) for b, h in xi.towers]
-    for v, (b, h) in enumerate(xi.towers):
-        outs = [b.intersect(xi.towers[w][0].translate(-h)) for w in succ[v]]
-        assert not any(c.is_empty() for c in outs)
-        check_partition(spec, outs + [b.complement()])
-    for w, (bw, _) in enumerate(xi.towers):
-        ins = [bw.intersect(into[v]) for v in range(len(xi.towers)) if w in succ[v]]
-        assert ins
-        check_partition(spec, ins + [bw.complement()])
-
-
 def test_refine_against():
     xi = kr_from_set(FIB, cylinder(FIB, "a"))
     # the letter one step back cuts the base cell [aa] in two
