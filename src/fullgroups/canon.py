@@ -470,16 +470,19 @@ def kernel_decompose(
 
 def _find_swap_site(spec, x, y, q: int, p_floor: int):
     """Smallest central cylinder C at x and shift p making all swap blocks
-    pairwise disjoint and keeping y clear of them."""
+    pairwise disjoint and keeping y clear of them.
+
+    With Y = C ∪ T^p(C), Y meets T^k(Y) iff C meets T^m(C) for some m in
+    {k, p + k, |p - k|}. At k = p that m is 0, so p > 2q; then m = p (C
+    against T^p(C)) and the m of every k in [1, 2q] fill [1, p + 2q], as
+    p <= 4q. So the first offset m in [1, 6q] where C meets its translate
+    bounds p below m - 2q, and p is tried in the order of the p-by-k search.
+    """
     for depth in ladder_sizes(1, "swap site"):
         c = central_cylinder(spec, x, depth)
-        for p in range(max(p_floor, 1), 4 * q + 1):
-            t = c.translate(p)
-            if not c.disjoint(t):
-                continue
-            yset = c.union(t)
-            if first_overlap(yset, range(1, 2 * q + 1)) is not None:
-                continue
+        m = first_overlap(c, range(1, 6 * q + 1)) or 6 * q + 1
+        for p in range(max(p_floor, 2 * q + 1), m - 2 * q):
+            yset = c.union(c.translate(p))
             if any(
                 yset.contains_point(y.shifted(-j)) for j in range(-q, q + 1)
             ):

@@ -128,6 +128,11 @@ class ClopenSet:
         if n == 0 or self.is_empty():
             return self
         mask, lo, hi = self.spec.translate_mask(self.mask, self.lo, self.hi, n)
+        if (lo, hi) == (self.lo, self.hi):
+            # T^n kept the window: on an odometer it rotates the residues,
+            # which maps every rung's word sets onto themselves, so the set
+            # is still expressible on no smaller rung and stays canonical
+            return ClopenSet(self.spec, lo, hi, mask)
         return ClopenSet._canonical(self.spec, mask, (lo, hi))
 
     def contains_point(self, p: PointRep) -> bool:
@@ -216,11 +221,16 @@ def _over(spec: SystemSpec, sets) -> list:
 
 def union_all(spec: SystemSpec, sets) -> ClopenSet:
     """Union of the sets: their masks OR-ed on the widest window, canonicalized once."""
-    sets = _over(spec, sets)
-    size = max((spec.ladder_size(s.lo, s.hi) for s in sets), default=spec.floor)
+    return _union_masks(spec, [(spec.ladder_size(s.lo, s.hi), s.mask) for s in _over(spec, sets)])
+
+
+def _union_masks(spec: SystemSpec, sized) -> ClopenSet:
+    """Union of (size, mask) pairs, each mask on the ladder window of its
+    size: the masks OR-ed on the widest window, canonicalized once."""
+    size = max((s for s, _ in sized), default=spec.floor)
     mask = 0
-    for s in sets:
-        mask |= _expand_words(spec, s.mask, (s.lo, s.hi), size)
+    for s, m in sized:
+        mask |= m if s == size else _expand_words(spec, m, spec.ladder_window(s), size)
     return ClopenSet._canonical(spec, mask, spec.ladder_window(size))
 
 

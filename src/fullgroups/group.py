@@ -6,9 +6,11 @@ C_n. Canonical form merges pieces by power, so two elements are equal iff
 their canonical forms coincide. Composition follows
 f_{S1 S2}(x) = f_{S2}(x) + f_{S1}(S2 x).
 
-`_build` merges the raw pieces of one power with one `union_all`: their
-masks are OR-ed on the widest of their windows and the union is
-canonicalized once.
+`compose` canonicalizes once per power of the product: each pair of
+pieces meets as raw masks on the pair's ladder window, and the cells of one
+power are OR-ed on their widest window. `_build` merges the pieces of one
+power the same way, with one `union_all`, where its callers hand it more
+than one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .clopen import (
     union_all,
 )
 # bench/tests/test_tracer.py checks the tracer replaces this alias too
-from .clopen import _expand_words
+from .clopen import _expand_words, _union_masks
 from .errors import NotPartitionError, PreconditionError
 # `language` stays a module-level alias: bench/tracer.py wraps it in each layer
 from .systems import SystemSpec, PointRep, _bits, base_point, language  # noqa: F401
@@ -111,16 +113,28 @@ def shift(spec: SystemSpec, n: int = 1) -> GroupElement:
 
 
 def compose(s1: GroupElement, s2: GroupElement) -> GroupElement:
-    """s1 after s2."""
-    if s1.spec != s2.spec:
+    """s1 after s2.
+
+    Each s2 piece meets each s1 piece moved by T^-n2 as raw masks on the
+    pair's ladder window; each power's cells are OR-ed on their widest
+    window and canonicalized once.
+    """
+    spec = s1.spec
+    if spec != s2.spec:
         raise PreconditionError("elements live over different systems")
-    raw = []
+    cells: dict[int, list[tuple[int, int]]] = {}
     for n2, c2 in s2.pieces:
+        size2 = spec.ladder_size(c2.lo, c2.hi)
         for n1, c1 in s1.pieces:
-            cell = c2.intersect(c1.translate(-n2))
-            if not cell.is_empty():
-                raw.append((n1 + n2, cell))
-    return _build(s1.spec, raw)
+            mask, lo, hi = spec.translate_mask(c1.mask, c1.lo, c1.hi, -n2)
+            size = max(size2, spec.ladder_size(lo, hi))
+            # expand only a mask that is off the pair's window
+            if (lo, hi) != spec.ladder_window(size):
+                mask = _expand_words(spec, mask, (lo, hi), size)
+            mask &= c2.mask if size == size2 else _expand_words(spec, c2.mask, (c2.lo, c2.hi), size)
+            if mask:
+                cells.setdefault(n1 + n2, []).append((size, mask))
+    return _build(spec, [(n, _union_masks(spec, sized)) for n, sized in cells.items()])
 
 
 def invert(s: GroupElement) -> GroupElement:

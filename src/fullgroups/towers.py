@@ -155,6 +155,14 @@ class KRPartition:
         return union_all(self.spec, (b.translate(i) for b, h in self.towers))
 
     def validate(self) -> None:
+        """Raise unless the atoms tile the space and T maps the tops onto the bases.
+
+        The second test restates the tiling and cannot fire once
+        `check_partition` passes: T maps the tiling onto the sets T^i(B_v),
+        1 <= i <= h_v, which is a tiling too, so the base and T(top) are
+        both the complement of the atoms T^i(B_v), 1 <= i < h_v. It is
+        kept as a cheap second statement of the tower conditions.
+        """
         check_partition(self.spec, [a for _, _, a in self.iter_atoms()])
         if not self.top().translate(1) == self.base():
             raise VerificationError("T(top) != base")

@@ -12,6 +12,11 @@ carve the generators of an infinite direct sum of Z from disjoint
 cylinders. `rotation_by_search` recognizes a rotation the slow way the
 peel in `canon.is_n_rotation` replaces: per band it tries every exponent
 with `power` and `agree_on`, then rebuilds the form as an element.
+`compose_pairwise` composes by clopen algebra, canonicalizing every
+translate, intersection and merge, where `group.compose` canonicalizes
+once per power; `swap_site_by_search` finds the kernel decomposition's
+swap site by the p-by-k overlap search that `canon._find_swap_site`'s one
+scan per depth replaces.
 """
 
 from fractions import Fraction
@@ -19,13 +24,22 @@ from functools import cache
 from math import lcm
 
 from fullgroups.canon import Refusal, RotationForm
-from fullgroups.clopen import ClopenSet, _expand_words, cylinder, empty, union_all
+from fullgroups.clopen import (
+    ClopenSet,
+    _expand_words,
+    central_cylinder,
+    cylinder,
+    empty,
+    union_all,
+)
 from fullgroups.errors import PreconditionError
 from fullgroups.group import (
     GroupElement,
+    _build,
     cocycle_bound,
     compose,
     equals,
+    first_overlap,
     identity,
     invert,
     ladder_sizes,
@@ -285,3 +299,33 @@ def rotation_by_search(s: GroupElement, xi):
     if not equals(form.to_element(), s):
         return Refusal("support extends past the boundary bands")
     return form
+
+
+def compose_pairwise(s1: GroupElement, s2: GroupElement) -> GroupElement:
+    """s1 after s2 by clopen algebra: each s2 piece intersected with each
+    s1 piece moved by T^-n2, every set canonical, merged by power."""
+    raw = []
+    for n2, c2 in s2.pieces:
+        for n1, c1 in s1.pieces:
+            cell = c2.intersect(c1.translate(-n2))
+            if not cell.is_empty():
+                raw.append((n1 + n2, cell))
+    return _build(s1.spec, raw)
+
+
+def swap_site_by_search(spec: SystemSpec, x, y, q: int, p_floor: int):
+    """(C, p) as `canon._find_swap_site` answers, by trying every p from
+    max(p_floor, 1) to 4q at each depth, and for each every k in [1, 2q]
+    against Y = C ∪ T^p(C)."""
+    for depth in ladder_sizes(1, "swap site"):
+        c = central_cylinder(spec, x, depth)
+        for p in range(max(p_floor, 1), 4 * q + 1):
+            t = c.translate(p)
+            if not c.disjoint(t):
+                continue
+            yset = c.union(t)
+            if first_overlap(yset, range(1, 2 * q + 1)) is not None:
+                continue
+            if any(yset.contains_point(y.shifted(-j)) for j in range(-q, q + 1)):
+                continue
+            return c, p

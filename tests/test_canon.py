@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullgroups.canon import (
     Refusal,
@@ -40,13 +41,16 @@ from fullgroups.group import (
 from fullgroups.sampling import random_products
 from fullgroups.systems import base_point, make_system
 from fullgroups.towers import induced, tower_sequence
-from oracles import index_by_measure, power, rotation_by_search
+from oracles import index_by_measure, power, rotation_by_search, swap_site_by_search
 
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO32 = make_system({"kind": "odometer", "bases": [3, 2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
 TM = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
+TRIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}})
+FIVE = {"odometer-2": ODO2, "odometer-2-3": ODO23, "fibonacci": FIB, "thue-morse": TM,
+        "tribonacci": TRIB}
 
 
 def sample_pool(spec):
@@ -362,6 +366,67 @@ def test_swap_site_is_the_first_disjoint_one(spec):
             while site[1] < p_floor:
                 site = next(sites)
             assert canon._find_swap_site(spec, x, y, q, p_floor) == site, (q, p_floor)
+
+
+def _assert_scan_matches_search(spec, x_shift, y_shift, qs):
+    x, _ = base_point(spec, "primary")
+    y, _ = base_point(spec, "alternate")
+    x, y = x.shifted(x_shift), y.shifted(y_shift)
+    for q in qs:
+        for p_floor in range(1, q + 1):
+            site = canon._find_swap_site(spec, x, y, q, p_floor)
+            assert site == swap_site_by_search(spec, x, y, q, p_floor), (q, p_floor)
+
+
+@pytest.mark.parametrize("name", sorted(FIVE))
+def test_swap_site_scan_matches_the_nested_search(name):
+    """One overlap scan per depth returns the (C, p) the p-by-k search does,
+    for every q in 1..7 and p_floor in 1..q."""
+    _assert_scan_matches_search(FIVE[name], 3, -5, range(1, 8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(FIVE)), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(1, 7))
+def test_swap_site_scan_matches_the_search_at_shifted_points(name, x_shift, y_shift, q):
+    _assert_scan_matches_search(FIVE[name], x_shift, y_shift, [q])
+
+
+def _crossing_swap():
+    """The swap of T^-2(C) with C, C a depth-3 cylinder at x: Q carries
+    T^-2(x) to x and back, so its crossings are -2 -> 0 and 0 -> -2, q = 2."""
+    x, _ = base_point(ODO2, "primary")
+    return swaps(ODO2, [(central_cylinder(ODO2, x, 3).translate(-2), 2)])
+
+
+def test_kernel_decompose_refuses_a_shift_that_crosses_x(monkeypatch):
+    # with p = 1 the copy T^-1(C) <-> T(C) also crosses x's anchor, so P1
+    # keeps a crossing; the blocks are still pairwise disjoint
+    q_elem = _crossing_swap()
+    x, _ = base_point(ODO2, "primary")
+    y, _ = base_point(ODO2, "alternate")
+    c, p = canon._find_swap_site(ODO2, x, y, 2, 2)
+    assert p > 4
+    monkeypatch.setattr(canon, "_find_swap_site", lambda *args: (c, 1))
+    with pytest.raises(VerificationError, match="P1 failed the x-stabilizer check"):
+        kernel_decompose(q_elem)
+
+
+def test_kernel_decompose_refuses_blocks_that_catch_y(monkeypatch):
+    # y agrees with x on 8 digits; a site found for the default y is
+    # shallower, so its blocks carry y's orbit across y's anchor too
+    q_elem = _crossing_swap()
+    y_far, _ = base_point(ODO2, "alternate")
+    y_near = ODO2.point((0,) * 8, (1, 0))
+    search = canon._find_swap_site
+    monkeypatch.setattr(
+        canon, "_find_swap_site", lambda spec, x, y, q, p_floor: search(spec, x, y_far, q, p_floor)
+    )
+    with pytest.raises(VerificationError, match="P2 failed the y-stabilizer check"):
+        kernel_decompose(q_elem, y=y_near)
+    monkeypatch.undo()
+    p1, p2 = kernel_decompose(q_elem, y=y_near)
+    assert equals(compose(p1, p2), q_elem)
 
 
 def test_kernel_decompose_rejects_nonzero_index():

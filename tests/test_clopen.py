@@ -183,6 +183,18 @@ def test_translate_is_boolean_homomorphism(seed, n, which):
     assert A.complement().translate(n) == A.translate(n).complement()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(-40, 40), st.sampled_from(["o2", "o23"]))
+def test_odometer_translate_keeps_the_canonical_window(seed, n, which):
+    """T^n rotates the residues on the set's own window, and the rotated
+    mask is already canonical."""
+    spec = O2 if which == "o2" else O23
+    A = rand_clopen(spec, seed)
+    mask, lo, hi = spec.translate_mask(A.mask, A.lo, A.hi, n)
+    assert (lo, hi) == (A.lo, A.hi)
+    assert A.translate(n) == ClopenSet._canonical(spec, mask, (lo, hi))
+
+
 def test_union_all():
     words = sorted(language(FIB, 3))
     total = union_all(FIB, [cylinder(FIB, w, 0) for w in words])

@@ -257,6 +257,27 @@ def _transposed_in_one_tower():
     return dataclasses.replace(_with(fac, perms=((1, 0) + pv0[2:], pv1)), element=element)
 
 
+def _band_twice():
+    # T^2 on [2]: U bands 0 and 1 at level 2; band 0 listed twice
+    fac = factorize(shift(ODO2, 2))
+    return _with(fac, u_levels=fac.rotation.u_levels[:1] + fac.rotation.u_levels)
+
+
+def _band_at_n0():
+    # the same form with n0 = 1: U band 1 sits at i == n0, just outside [0, n0)
+    fac = factorize(shift(ODO2, 2))
+    assert max(a for a, _ in fac.rotation.u_levels) == 1
+    return _with(fac, n0=1)
+
+
+def _far_move_under_small_n0():
+    # the swap of a depth-3 cylinder with its T^3 image crosses no anchor,
+    # so the form has no bands; n0 = 1 is below its displacement 3
+    fac = factorize(swaps(ODO2, [(cylinder(ODO2, "010"), 3)]))
+    assert fac.rotation.is_trivial()
+    return _with(fac, n0=1)
+
+
 REFUSALS = {
     "Q's cocycle is not constant on atom": _finer_element,
     "P is not a within-tower permutation": _repeated_entry,
@@ -267,9 +288,16 @@ REFUSALS = {
     "P∘R does not reproduce Q on U band 1": _u_band_on_two_heights,
     "P∘R does not reproduce Q on D band 1": _d_band_on_two_heights,
     "band permutation disagrees across towers": _transposed_in_one_tower,
+    "a band appears twice in the rotation": _band_twice,
+    "supportive set outside [0, n0)": _band_at_n0,
+    "displacement exceeds n0": _far_move_under_small_n0,
 }
 # Q = P∘R holds there, so only the table check sees the broken form
-FORM_ONLY = {"band permutation disagrees across towers"}
+FORM_ONLY = {
+    "band permutation disagrees across towers",
+    "supportive set outside [0, n0)",
+    "displacement exceeds n0",
+}
 
 
 @pytest.mark.parametrize("message", sorted(REFUSALS), ids=lambda m: REFUSALS[m].__name__[1:])

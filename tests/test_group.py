@@ -32,6 +32,13 @@ from oracles import agree_on, cocycle_table, cocycle_values_on, directsum_genera
 ODO2 = make_system({"kind": "odometer", "bases": [2]})
 ODO23 = make_system({"kind": "odometer", "bases": [2, 3]})
 FIB = make_system({"kind": "substitution", "alphabet": "ab", "rule": {"a": "ab", "b": "a"}})
+FIVE = {
+    "odometer-2": ODO2,
+    "odometer-2-3": ODO23,
+    "fibonacci": FIB,
+    "thue-morse": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}}),
+    "tribonacci": make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}}),
+}
 
 
 def test_shift_composition():
@@ -189,6 +196,17 @@ def test_associativity(p1, p2, p3):
     b = _product(ODO2, p2)
     c = _product(ODO2, p3)
     assert equals(compose(compose(a, b), c), compose(a, compose(b, c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIVE)), st.integers(0, 10**6))
+def test_compose_equals_the_pairwise_composition(name, seed):
+    """One canonicalization per power gives the pieces that canonicalizing
+    every translate, intersection and merge gives."""
+    spec = FIVE[name]
+    s1, s2 = random_products(spec, 2, seed, max_len=4)
+    for a, b in ((s1, s2), (s2, s1), (s1, invert(s1))):
+        assert equals(compose(a, b), oracles.compose_pairwise(a, b))
 
 
 @settings(max_examples=25, deadline=None)
