@@ -336,13 +336,14 @@ def _check_factorization(fac: Factorization, f_atoms: list | None = None) -> Non
 def _bands_agree(rows, heights, d: int) -> bool:
     """True when, for each i in [-d, d], the towers' rows agree at signed
     position i: rows[v][i mod h_v] is one signed residue mod h_v for all v."""
-    for i in range(-d, d + 1):
-        if len({_signed_residue(row[i % h], h) for row, h in zip(rows, heights)}) != 1:
-            return False
-    return True
+    return all(
+        len({_signed_residue(row[i % h], h) for row, h in zip(rows, heights)}) == 1 for i in range(-d, d + 1)
+    )
 
 
 def _signed_residue(r: int, h: int) -> int:
+    """r mod h in (-h/2, h/2]. Both callers' towers are taller than twice any
+    residue they read (n0, or d + n0), so r = h/2, where `<` would differ, is never read."""
     r %= h
     return r if 2 * r <= h else r - h
 

@@ -10,9 +10,9 @@ canonicalization is idempotent.
 
 A word set is one int bitmask over the word index of its window's width,
 encoded by the spec (`encode`, `decode`). Union, intersection and
-difference are `| & &~` on a common window; expansion, the one-rung shrink
-test and translation by T^n are the spec's mask operations. Words are
-decoded only for rendering, hashing and ordering.
+difference are `| & &~` on a common window; expansion, the shrink test to
+any lower rung and translation by T^n are the spec's mask operations.
+Words are decoded only for rendering, hashing and ordering.
 """
 
 from __future__ import annotations
@@ -43,14 +43,18 @@ def _expand_words(spec: SystemSpec, mask: int, win: tuple[int, int], size: int) 
 
 
 def _shrink(spec: SystemSpec, mask: WordMask, size: int) -> tuple[int, int]:
-    """Walk down the ladder while the word set stays expressible."""
-    lo, hi = spec.ladder_window(size)
-    while size > spec.floor:
-        slo, shi = spec.ladder_window(size - 1)
-        smaller = spec.shrink_mask(mask, hi - lo + 1, slo - lo, shi - lo + 1)
+    """Least rung expressing the word set, and its mask there: expressibility
+    is monotone, so step down 1, 2, 4, ... rungs, then bisect above a fail."""
+    below, step = spec.floor - 1, 1  # below: the highest rung known to fail
+    while size - below > 1:
+        target = max(size - step, below + 1)
+        (lo, hi), (tlo, thi) = spec.ladder_window(size), spec.ladder_window(target)
+        smaller = spec.shrink_mask(mask, hi - lo + 1, tlo - lo, thi - lo + 1)
         if smaller is None:
-            break
-        mask, size, lo, hi = smaller, size - 1, slo, shi
+            below = target
+        else:
+            mask, size = smaller, target
+        step = 2 * step if below < spec.floor else (size - below) // 2
     return mask, size
 
 
@@ -76,8 +80,7 @@ class ClopenSet:
         if win != spec.ladder_window(size):
             mask = _expand_words(spec, mask, win, size)
         mask, size = _shrink(spec, WordMask(mask), size)
-        lo, hi = spec.ladder_window(size)
-        return ClopenSet(spec, lo, hi, mask)
+        return ClopenSet(spec, *spec.ladder_window(size), mask)
 
     def is_empty(self) -> bool:
         return not self.mask

@@ -20,9 +20,9 @@ whose window contains [lo, hi].
 The specs also own the encoding of word sets: a set of words on a window of
 a given width is one int bitmask over that width's word index.
 - Odometers: bit v is the digit word of value v mod p_1...p_d, so a set is
-  a residue set. Expansion multiplies by a repunit, a rung drops iff the
-  mask repeats its low block, and T^n is a rotation. Masks wider than
-  `_ODOMETER_WORD_CAP` bits are refused.
+  a residue set. Expansion multiplies by a repunit, shrinking inverts it,
+  and T^n is a rotation. Masks wider than `_ODOMETER_WORD_CAP` bits are
+  refused.
 - Subshifts: bit i is the i-th admissible width-word in sorted order, held
   as a string in `word_index(width)`, scanned at widths <= 2 and powers of
   two and read off a power of two's words as prefixes at any other width
@@ -168,14 +168,10 @@ class OdometerSpec:
         return mask * _repunit(self, b, width)
 
     def shrink_mask(self, mask: int, width: int, a: int, b: int) -> int | None:
-        """Mask one rung down (width == b + 1), or None unless the set is the
-        low block repeated once per digit of coordinate b."""
-        p = self.base_at(b)
-        if mask.bit_count() % p:
-            return None
+        """Mask on the depth-b window, or None unless the mask is periodic
+        with period p_1 * ... * p_b: the inverse of `expand_mask`."""
         step = self.block_size(b)
-        # the low block repeats iff the mask is step-periodic
-        if mask >> step != mask & ((1 << step * (p - 1)) - 1):
+        if mask >> step != mask & ((1 << self.block_size(width) - step) - 1):
             return None
         return mask & ((1 << step) - 1)
 

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -188,6 +189,27 @@ def test_running_out_of_memory_is_a_resource_error(ws, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.strip() == "resource error: out of memory"
     assert captured.out == ""
+
+
+def test_a_far_cylinder_union_fits_in_two_gigabytes(ws):
+    """[a]@2000 ∪ [b]@2000 is the whole space. Its canonical rung is the
+    floor, 2000 rungs below its window, and finding it builds word tables
+    for a few logarithmically spaced rungs, not one per rung."""
+    tmp, _ = ws
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def limit_memory():
+        # the limit binds the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+    done = subprocess.run(
+        [sys.executable, "-m", "fullgroups.cli", "--workspace", str(tmp), "element", "make",
+         "--system", "fib", "--out", "far", "--piece", "a@2000 -> 0", "--piece", "b@2000 -> 0"],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "far: 1 pieces"
 
 
 def test_decompose_rejects_nonzero_index(ws):

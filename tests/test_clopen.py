@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 
@@ -22,6 +23,7 @@ O2 = make_system({"kind": "odometer", "bases": [2]})
 FIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "a"}})
 TM = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ba"}})
 O23 = make_system({"kind": "odometer", "bases": [2, 3]})
+TRIB = make_system({"kind": "substitution", "rule": {"a": "ab", "b": "ac", "c": "a"}})
 
 
 def rand_clopen(spec, rng):
@@ -217,22 +219,33 @@ def _reference_canonical(spec, words, size):
     return lo, hi, words
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["fib", "tm", "o23"]), st.data())
-def test_canonical_matches_count_table_reference(which, data):
-    spec = {"fib": FIB, "tm": TM, "o23": O23}[which]
-    size = data.draw(st.integers(spec.floor, spec.floor + 4), label="size")
+SYSTEMS = {"o2": O2, "o23": O23, "fib": FIB, "tm": TM, "trib": TRIB}
+
+
+def _draw_set(spec, data):
+    """(size, words): a union of whole fibers of a coarser window, then a few
+    words toggled, on the ladder window of a drawn size, so that a search
+    from it both shrinks and stops on a rung. Subshift sizes reach
+    floor + 8, so that the search both doubles its step and bisects."""
+    top = spec.floor + (4 if spec.kind == "odometer" else 8)
+    size = data.draw(st.integers(spec.floor, top), label="size")
     coarse = data.draw(st.integers(spec.floor, size), label="coarse")
     lo, hi = spec.ladder_window(size)
     clo, chi = spec.ladder_window(coarse)
     a, b = clo - lo, chi - lo + 1
-    # a union of whole fibers of a coarser window, then a few words toggled,
-    # so that both shrinking and stopping on a rung are exercised
     admissible = sorted(language(spec, hi - lo + 1))
     picked = data.draw(st.sets(st.sampled_from(sorted(language(spec, b - a)))), label="coarse words")
     words = {w for w in admissible if w[a:b] in picked}
     words ^= data.draw(st.sets(st.sampled_from(admissible), max_size=2), label="toggled")
-    words = frozenset(words)
+    return size, frozenset(words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+def test_canonical_matches_count_table_reference(which, data):
+    spec = SYSTEMS[which]
+    size, words = _draw_set(spec, data)
+    lo, hi = spec.ladder_window(size)
     expected = _reference_canonical(spec, words, size)
     systems.SubstitutionSpec.word_index.cache_clear()
     systems._fiber_table.cache_clear()
@@ -242,6 +255,56 @@ def test_canonical_matches_count_table_reference(which, data):
     warm = ClopenSet._canonical(spec, mask, (lo, hi))
     assert (cold.lo, cold.hi, frozenset(cold.sorted_words())) == expected
     assert (warm.lo, warm.hi, frozenset(warm.sorted_words())) == expected
+
+
+def _canonical_counting_tests(spec, mask, win):
+    """(the canonical set of the mask on win, how many shrink tests it took),
+    counted on both spec classes' `shrink_mask`."""
+    tests = []
+
+    def counted(shrink):
+        def shrink_mask(*args):
+            tests.append(args)
+            return shrink(*args)
+        return shrink_mask
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (systems.OdometerSpec, systems.SubstitutionSpec):
+            mp.setattr(cls, "shrink_mask", counted(cls.shrink_mask))
+        return ClopenSet._canonical(spec, mask, win), len(tests)
+
+
+def _test_bound(gap: int) -> int:
+    """One test per doubled step down, one for the first rung that fails
+    and one per bisection of the gap above it."""
+    return 2 * math.ceil(math.log2(gap + 1)) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+def test_the_rung_search_makes_logarithmically_many_shrink_tests(which, data):
+    """A search from rung `size` makes at most 2 ceil(log2(size - floor + 1)) + 1
+    shrink tests, and exactly one for a set already canonical above the floor."""
+    spec = SYSTEMS[which]
+    size, words = _draw_set(spec, data)
+    lo, hi = spec.ladder_window(size)
+    got, tests = _canonical_counting_tests(spec, spec.encode(words, hi - lo + 1), (lo, hi))
+    gap = size - spec.floor
+    assert tests <= _test_bound(gap)
+    if words and spec.ladder_size(got.lo, got.hi) == size:
+        assert tests == (1 if gap else 0)
+
+
+@pytest.mark.parametrize(
+    "spec, size", [(O2, 20), (O23, 12), (FIB, 40), (TM, 24)], ids=["o2", "o23", "fib", "tm"]
+)
+def test_a_far_full_set_reaches_the_floor_in_few_tests(spec, size):
+    """The full set on a far rung drops to the floor: a walk would test every
+    rung on the way, the search about 2 log2 of them."""
+    lo, hi = spec.ladder_window(size)
+    got, tests = _canonical_counting_tests(spec, spec.full_mask(hi - lo + 1), (lo, hi))
+    assert got == full(spec)
+    assert tests <= _test_bound(size - spec.floor) < size - spec.floor
 
 
 def test_fiber_masks_partition_the_language():

@@ -23,7 +23,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullgroups.canon import _check_factorization, factorize
+from fullgroups.canon import _bands_agree, _check_factorization, factorize
 from fullgroups.clopen import cylinder
 from fullgroups.errors import PreconditionError, VerificationError
 from fullgroups.group import compose, equals, identity, make_element, shift, swaps
@@ -307,3 +307,13 @@ def test_each_refusal_names_its_check(message):
         _check_factorization(bad)
     assert str(err.value).startswith(message)
     assert oracle_accepts(bad) == (message in FORM_ONLY)
+
+
+def test_band_agreement_reads_both_ends_of_the_band():
+    """Two towers' rows that agree at signed positions -d, ..., d - 1 and
+    differ only at +d: the band [-d, d] is closed at both ends."""
+    d, heights = 2, (7, 9)
+    rows = [[0] * h for h in heights]
+    rows[1][d] = 1
+    assert _bands_agree(rows, heights, d - 1)
+    assert not _bands_agree(rows, heights, d)

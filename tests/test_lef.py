@@ -133,6 +133,22 @@ def test_verify_lef_catches_corruption():
     assert any("FAIL" in line for line in rep.lines)
 
 
+def test_verify_lef_refuses_a_table_that_is_not_injective():
+    """F = {id, g} with g a 3-cycle, and id, g and g² all sent to H's
+    identity: every image lies in H and every product holds, so only the
+    distinctness lines can refuse the table."""
+    g = embed_symmetric(ODO2, 3, (1, 2, 0), disjoint_cylinder_block(ODO2, 3))
+    one = identity(ODO2)
+    h = lef.FinitePermGroupDesc((4,))
+    unit = (tuple(range(4)),)
+    w = LEFWitness((one, g), 1, h, tuple((s, unit) for s in (one, g, compose(g, g))))
+    rep = verify_lef(w)
+    assert not rep.ok
+    failed = [line for line in rep.lines if line.endswith("FAIL")]
+    assert len(failed) == 3 and all(line.startswith("distinct ") for line in failed)
+    assert all(line.endswith(": ok") for line in rep.lines if line.startswith("product "))
+
+
 def test_repeated_rows_keep_their_first_image():
     t = shift(ODO2, 1)
     w = lef_map([t, t, identity(ODO2)])

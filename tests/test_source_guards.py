@@ -10,6 +10,8 @@
   that bounds every cylinder search; a search with its own bound fails here.
 - `_LEVEL_CAP` is read only by `canon.search_levels`, the one level search
   behind `factorize` and `lef_map`.
+- `shrink_mask` is called only by `clopen._shrink`, the one rung search:
+  a second caller would be a second canonicalization.
 - In `canon` only `PermutationForm.to_element` builds an element from raw
   pieces: every band map of a rotation is a `towers.induced` first return,
   so the band maps' closed form lives only in the table check.
@@ -154,6 +156,11 @@ def test_the_depth_cap_is_read_in_one_function():
 def test_the_level_cap_is_read_in_one_function():
     reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "_LEVEL_CAP")}
     assert reads == {("canon", "search_levels")}
+
+
+def test_shrink_mask_is_called_in_one_function():
+    reads = {(module, owner) for module, tree in _modules() for owner in _reads(tree, "shrink_mask")}
+    assert reads == {("clopen", "_shrink")}
 
 
 def test_canon_builds_raw_pieces_only_for_the_permutation_form():
